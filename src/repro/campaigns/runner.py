@@ -44,7 +44,9 @@ durable failure (:class:`CellOutcome`) and the campaign continues, until
 (:class:`CampaignAbort`; everything completed so far is already stored).
 A broken process pool (worker killed, OOM, segfault) is respawned and
 only the unfinished cells are re-dispatched; a pool that keeps breaking
-degrades to serial execution rather than giving up.
+degrades to serial execution rather than giving up.  Every break is logged
+with its cause and counted on :attr:`CampaignResult.pool_breaks`, and a run
+that fell back reports ``dispatch="serial"`` with the reason.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from repro.campaigns.blas import cap_blas_threads
 from repro.campaigns.costmodel import (
     CostCalibration,
     DispatchDecision,
@@ -91,8 +94,17 @@ from repro.scheduling.parsched import par_schedule
 from repro.scheduling.plan_cache import SHARED_PLAN_CACHE
 from repro.scheduling.zzxsched import ZZXConfig, zzx_schedule
 from repro.sim.density import DecoherenceModel
-from repro.telemetry import capture, counter, merge_snapshot, observe, span
+from repro.telemetry import (
+    capture,
+    counter,
+    get_logger,
+    merge_snapshot,
+    observe,
+    span,
+)
 from repro.units import US
+
+logger = get_logger(__name__)
 
 # -- per-process warm caches ------------------------------------------------
 # Module-level lru_caches double as the "per-worker warm cache": the first
@@ -226,6 +238,7 @@ def evaluate_cell(cell: Cell, prop_cache=None) -> dict:
     }
     if out.stderr is not None:
         record["stderr"] = out.stderr
+    if out.num_trajectories is not None:
         record["num_trajectories"] = out.num_trajectories
     return record
 
@@ -591,6 +604,7 @@ def _warm_worker(
     methods: tuple[str, ...],
     plan_snapshot: tuple | None = None,
     cold: bool = False,
+    workers: int = 1,
 ) -> None:
     """Pool initializer: make this worker's caches as warm as possible.
 
@@ -599,8 +613,12 @@ def _warm_worker(
     ``plan_snapshot`` seeds the plan cache and the libraries are built
     here.  ``cold=True`` (the :data:`COLD_WORKERS_ENV` A/B) instead
     clears everything inherited, reproducing pre-warm-fork behavior.
+    ``workers`` is the size of the pool this worker belongs to: each
+    OpenBLAS is capped at ``cores // workers`` threads so the pool does
+    not oversubscribe the cores (:mod:`repro.campaigns.blas`).
     """
     global _WORKER_WARMUP
+    cap_blas_threads(workers)
     with capture() as cap:
         with span("campaign.worker_warmup"):
             if cold:
@@ -645,10 +663,15 @@ class CampaignResult:
     cell_seconds: float = 0.0
     #: What was asked for (``--workers``) before the cost model weighed in.
     requested_workers: int = 1
-    #: ``"serial"`` or ``"parallel"`` — the executed mode.
+    #: ``"serial"`` or ``"parallel"`` — the executed mode (``"serial"``
+    #: also when a parallel run fell back to serial after pool breaks).
     dispatch: str = "serial"
-    #: One-line account of why the cost model picked that mode.
+    #: One-line account of why the cost model picked that mode (or why
+    #: the run fell back to serial).
     dispatch_reason: str = ""
+    #: How many times the process pool broke (worker death, or an
+    #: initializer that raised) during the run.
+    pool_breaks: int = 0
     _by_key: dict[str, dict] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -752,13 +775,16 @@ def run_campaign(
     )
     counter(f"campaign.dispatch.{decision.mode}")
     tracker = _FailureTracker(policy.max_failures)
+    mode, reason, breaks = decision.mode, decision.reason, 0
     if decision.serial:
         _run_serial(pending, store, fingerprint, policy, tracker)
     else:
-        _run_parallel(
+        breaks, fallback = _run_parallel(
             pending, store, decision, fingerprint, policy, tracker,
             calibration=calibration,
         )
+        if fallback is not None:
+            mode, reason = "serial", fallback
 
     records = []
     failed = 0
@@ -784,8 +810,9 @@ def run_campaign(
         elapsed_s=time.perf_counter() - start,
         cell_seconds=cell_seconds,
         requested_workers=max(1, workers),
-        dispatch=decision.mode,
-        dispatch_reason=decision.reason,
+        dispatch=mode,
+        dispatch_reason=reason,
+        pool_breaks=breaks,
     )
 
 
@@ -812,7 +839,7 @@ def _run_parallel(
     policy: RetryPolicy,
     tracker: _FailureTracker,
     calibration: CostCalibration | None = None,
-) -> None:
+) -> tuple[int, str | None]:
     """Per-cell pool dispatch with broken-pool recovery.
 
     Cells are submitted in longest-job-first order (work stealing: pool
@@ -822,7 +849,9 @@ def _run_parallel(
     had not been drained yet; the pool is respawned and the cells
     without a stored outcome re-dispatched.  After
     :data:`MAX_POOL_RESPAWNS` breaks the remainder runs serially —
-    progress beats parallelism.
+    progress beats parallelism.  Every break is logged as a warning with
+    its cause.  Returns the number of breaks and, when the serial fallback
+    ran, the reason to report in place of the dispatch decision's.
     """
     cold = _cold_workers()
     if not cold:
@@ -837,13 +866,14 @@ def _run_parallel(
     breaks = 0
     while todo:
         cells = list(todo)
+        size = min(decision.workers, len(cells))
         with span("campaign.pool_spawn"):
             pool = ProcessPoolExecutor(
-                max_workers=min(decision.workers, len(cells)),
+                max_workers=size,
                 initializer=_warm_worker,
-                initargs=(methods, plan_snapshot, cold),
+                initargs=(methods, plan_snapshot, cold, size),
             )
-        broken = False
+        broken: BrokenProcessPool | None = None
         try:
             futures = {
                 pool.submit(supervised_evaluate, cell, policy): cell
@@ -856,10 +886,10 @@ def _run_parallel(
                 for future in done:
                     try:
                         outcome = future.result()
-                    except BrokenProcessPool:
+                    except BrokenProcessPool as exc:
                         # This future died with the pool; siblings in the
                         # same batch may still hold results — drain them.
-                        broken = True
+                        broken = exc
                         continue
                     cell = futures[future]
                     # The worker's trace rides back on the outcome: fold it
@@ -879,18 +909,43 @@ def _run_parallel(
                     _persist(store, cell, outcome, fingerprint)
                     tracker.note(outcome)
                     del todo[cell]
-                if broken:
+                if broken is not None:
                     break
-        except BrokenProcessPool:
+        except BrokenProcessPool as exc:
             # The pool can also break at submit time (e.g. a worker dies
             # while the initializer runs); treat it like any other break.
-            broken = True
+            broken = exc
         finally:
             # On a break or an abort, drop queued work; completed futures
             # were already drained and persisted above.
             pool.shutdown(wait=False, cancel_futures=True)
-        if broken:
+        if broken is not None:
             breaks += 1
+            cause = _break_cause(broken)
             if breaks > MAX_POOL_RESPAWNS:
+                logger.warning(
+                    "process pool broke; finishing the campaign serially",
+                    breaks=breaks, remaining=len(todo), cause=cause,
+                )
                 _run_serial(list(todo), store, fingerprint, policy, tracker)
-                return
+                return breaks, (
+                    f"process pool broke {breaks} times (last: {cause}); "
+                    f"ran the last {len(todo)} cells serially"
+                )
+            logger.warning(
+                "process pool broke; respawning it",
+                breaks=breaks, remaining=len(todo), cause=cause,
+            )
+    return breaks, None
+
+
+def _break_cause(exc: BrokenProcessPool) -> str:
+    """One line naming why a pool broke (the worker-side cause when known)."""
+    cause = f"{type(exc).__name__}: {exc}"
+    remote = [
+        line for line in str(exc.__cause__ or "").splitlines() if line.strip()
+    ]
+    if remote:
+        # A remote traceback's last line names the worker-side exception.
+        cause += f" (caused by {remote[-1].strip()})"
+    return cause

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.qmath.fidelity import state_fidelity_dm
-from repro.sim.density import DecoherenceModel
-from repro.sim.statevector import apply_gate_matrix
+from repro.sim.density import DecoherenceModel, apply_superoperator
 
 from repro.runtime.backends.base import BackendOutcome, SimBackend
 
@@ -28,13 +27,8 @@ MAX_DENSITY_QUBITS = 8
 def conjugate_local(
     rho: np.ndarray, op: np.ndarray, qubits, num_qubits: int
 ) -> np.ndarray:
-    """``O rho O^dag`` for a local operator via two column-applications.
-
-    ``A = O rho``, then ``O A^dag`` equals ``(O rho O^dag)^dag``.
-    """
-    left = apply_gate_matrix(rho, op, qubits, num_qubits)
-    right = apply_gate_matrix(left.conj().T, op, qubits, num_qubits)
-    return right.conj().T
+    """``O rho O^dag`` for a local operator, as the superoperator ``O (x) O^*``."""
+    return apply_superoperator(rho, np.kron(op, op.conj()), qubits, num_qubits)
 
 
 class DensityBackend(SimBackend):

@@ -8,7 +8,7 @@ the paper's full 3x4 grid.
 
 This backend repeats the executor's shared layer walk once per trajectory
 (by overriding :meth:`outcome`) and reports the sample mean fidelity with
-its standard error.
+its standard error (``ddof=1``; ``None`` for a single trajectory).
 """
 
 from __future__ import annotations
@@ -93,9 +93,14 @@ class TrajectoryBackend(SimBackend):
         fidelities = np.empty(self.num_trajectories)
         for t in range(self.num_trajectories):
             fidelities[t] = state_fidelity(ideal, walk())
+        stderr = None
+        if self.num_trajectories > 1:
+            stderr = float(
+                np.std(fidelities, ddof=1) / np.sqrt(self.num_trajectories)
+            )
         return BackendOutcome(
             fidelity=float(np.mean(fidelities)),
-            stderr=float(np.std(fidelities) / np.sqrt(self.num_trajectories)),
+            stderr=stderr,
             num_trajectories=self.num_trajectories,
         )
 

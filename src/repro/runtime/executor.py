@@ -19,6 +19,18 @@ Repeated layers (ubiquitous in QAOA/QV/Ising schedules) reuse their drive
 lists and — on the density path — their full layer unitaries through a
 :class:`~repro.runtime.backends.LayerPropagatorCache`; reuse is bit-exact,
 so cached and uncached runs report identical fidelities.
+
+Kernel notes.  Nearly all of a run's time is the Trotter walk inside
+``backend.evolve_layer``.  Statevector and trajectory layers walk one
+column; a density layer walks the identity (``2^n`` columns) once to get
+the layer unitary, then costs two ``2^n x 2^n`` GEMMs for ``U rho U^dag``
+and one GEMM per qubit for the T1/T_phi channels.  Those channels, and
+``rho``'s virtual gates, act as ``4x4`` superoperators on the vectorized
+density matrix (:mod:`repro.sim.density`).  The walk permutes the qubits
+once per layer and then does one small GEMM per active drive per step, with
+no per-step copies (cost model in :mod:`repro.sim.trotter`).  These GEMMs
+are too small to gain from BLAS threads, so pool workers cap OpenBLAS at
+``cores // workers`` threads (:mod:`repro.campaigns.blas`).
 """
 
 from __future__ import annotations

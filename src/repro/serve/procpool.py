@@ -58,6 +58,7 @@ def _worker_main(
     methods: tuple[str, ...],
     plan_snapshot: tuple | None,
     service_options: dict,
+    pool_size: int,
 ) -> None:
     """Worker-process body: warm up, then serve batches until EOF/None.
 
@@ -71,7 +72,7 @@ def _worker_main(
     # starts (fork children inherit the parent's modules either way).
     from repro.serve.service import CompileService
 
-    warm_worker(methods, plan_snapshot)
+    warm_worker(methods, plan_snapshot, workers=pool_size)
     service = CompileService(plan_cache=SHARED_PLAN_CACHE, **service_options)
     while True:
         try:
@@ -160,6 +161,7 @@ class ProcessWorkerPool:
                 self._methods,
                 self._plan_snapshot,
                 self._service_options,
+                self.size,
             ),
             name="repro-serve-worker",
             daemon=True,

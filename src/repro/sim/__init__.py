@@ -21,7 +21,7 @@ the original).  This subpackage provides the equivalent machinery:
 DEFAULT_DT = 0.25
 
 from repro.sim.propagate import propagate_piecewise, propagate_with_zz
-from repro.sim.statevector import apply_diagonal_phase, apply_gate
+from repro.sim.statevector import apply_gate
 from repro.sim.trotter import TrotterEngine
 from repro.sim.density import (
     amplitude_damping_kraus,
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_DT",
     "propagate_piecewise",
     "propagate_with_zz",
-    "apply_diagonal_phase",
     "apply_gate",
     "TrotterEngine",
     "amplitude_damping_kraus",

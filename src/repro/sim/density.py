@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.sim.statevector import apply_gate_matrix
+from repro.sim.statevector import apply_gate, apply_local_ops
 
 
 def amplitude_damping_kraus(p: float) -> list[np.ndarray]:
@@ -37,6 +37,29 @@ def phase_damping_kraus(p: float) -> list[np.ndarray]:
     return [k0, k1, k2]
 
 
+def superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """``SUM_i K_i (x) K_i^*``: the channel acting on a vectorized ``rho``.
+
+    Row-major vectorization of a ``2^n x 2^n`` density matrix makes it a
+    ``2n``-qubit column whose qubit ``q`` is the row bit and ``q + n`` the
+    column bit of register qubit ``q``; ``K rho K^dag`` is then ``K`` on the
+    row bits times ``K^*`` on the column bits.
+    """
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def apply_superoperator(
+    rho: np.ndarray,
+    superop: np.ndarray,
+    qubits: Sequence[int],
+    num_qubits: int,
+) -> np.ndarray:
+    """Apply a superoperator on register ``qubits`` to density matrix ``rho``."""
+    targets = tuple(qubits) + tuple(q + num_qubits for q in qubits)
+    vec = apply_gate(rho.reshape(-1), superop, targets, 2 * num_qubits)
+    return vec.reshape(rho.shape)
+
+
 def apply_channel(
     rho: np.ndarray,
     kraus: Sequence[np.ndarray],
@@ -44,14 +67,7 @@ def apply_channel(
     num_qubits: int,
 ) -> np.ndarray:
     """Apply a Kraus channel on ``qubits`` to density matrix ``rho``."""
-    out = np.zeros_like(rho)
-    for k in kraus:
-        # K rho K^dag via two column-applications: A = K rho, then
-        # K A^dag = (K rho K^dag)^dag.
-        left = apply_gate_matrix(rho, k, qubits, num_qubits)
-        right = apply_gate_matrix(left.conj().T, k, qubits, num_qubits)
-        out += right.conj().T
-    return out
+    return apply_superoperator(rho, superoperator(kraus), qubits, num_qubits)
 
 
 @dataclass(frozen=True)
@@ -90,14 +106,20 @@ class DecoherenceModel:
         # parameter p scales coherences by (1 - p).
         return 1.0 - float(np.exp(-duration_ns / t_phi))
 
+    def layer_superoperator(self, duration_ns: float) -> np.ndarray:
+        """One qubit's T1 then T_phi channel over ``duration_ns``, as ``4x4``."""
+        superop = superoperator(
+            amplitude_damping_kraus(self.damping_probability(duration_ns))
+        )
+        p_phi = self.dephasing_probability(duration_ns)
+        if p_phi > 0.0:
+            superop = superoperator(phase_damping_kraus(p_phi)) @ superop
+        return superop
+
     def apply(self, rho: np.ndarray, duration_ns: float, num_qubits: int) -> np.ndarray:
         """Apply the per-qubit T1/T_phi channels for ``duration_ns``."""
-        p_amp = self.damping_probability(duration_ns)
-        p_phi = self.dephasing_probability(duration_ns)
-        amp = amplitude_damping_kraus(p_amp)
-        phi = phase_damping_kraus(p_phi)
-        for q in range(num_qubits):
-            rho = apply_channel(rho, amp, [q], num_qubits)
-            if p_phi > 0.0:
-                rho = apply_channel(rho, phi, [q], num_qubits)
-        return rho
+        superop = self.layer_superoperator(duration_ns)
+        n = num_qubits
+        return apply_local_ops(
+            rho.reshape(-1), [superop] * n, [(q, q + n) for q in range(n)], 2 * n
+        ).reshape(rho.shape)

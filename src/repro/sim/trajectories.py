@@ -39,12 +39,18 @@ class TrajectoryResult:
     """Monte Carlo fidelity estimate."""
 
     fidelity: float
-    stderr: float
+    #: Standard error of the mean; ``None`` for a single trajectory.
+    stderr: float | None
     num_trajectories: int
     execution_time_ns: float
 
     @property
     def confidence95(self) -> tuple[float, float]:
+        if self.stderr is None:
+            raise ValueError(
+                "a confidence interval needs at least two trajectories; "
+                f"this estimate has {self.num_trajectories}"
+            )
         delta = 1.96 * self.stderr
         return (self.fidelity - delta, self.fidelity + delta)
 

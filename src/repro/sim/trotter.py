@@ -10,9 +10,29 @@ is diagonal, so a symmetric (Strang) splitting
 
     U(dt) ~= D(dt/2) . U_drive(dt) . D(dt/2)
 
-costs one elementwise multiply plus a handful of local 2x2/4x4 applies per
+costs one elementwise multiply plus one small GEMM per active drive per
 step.  Consecutive half-phases merge into full phases, so a layer of N steps
 performs exactly N+1 diagonal multiplies.
+
+Cost model of one layer on ``C`` columns of ``2^n`` amplitudes (``C = 1``
+for a statevector, ``C = 2^n`` for :meth:`TrotterEngine.layer_unitary`):
+
+- at layer start, one transpose permutes the qubits so every drive's qubits
+  are contiguous — drives ordered longest first, idle qubits last — fused
+  with the first half-phase multiply (the phase vectors are permuted the
+  same way);
+- per step, one GEMM ``psi.reshape(d, -1).T @ op_k.T`` per active drive
+  (``d = 2^k`` for a k-qubit drive).  Each applies the step propagator and
+  moves that drive's axes from the front to the back, so the active drives
+  (a prefix, thanks to the ordering) rotate through the front with no
+  copies; then one pass moves the tail of idle qubits, finished drives and
+  columns back behind them, fused with the phase multiply (a plain
+  in-place multiply when there is no such tail);
+- at layer end, one inverse transpose.
+
+So a step touches the state ``active + 1`` times, and the Python overhead
+per step is a handful of numpy calls.  Drives on disjoint qubits commute,
+which is what makes the reordering exact.
 """
 
 from __future__ import annotations
@@ -24,7 +44,6 @@ import numpy as np
 
 from repro.qmath.tensor import zz_diagonal
 from repro.sim import DEFAULT_DT
-from repro.sim.statevector import apply_gate, apply_gate_matrix
 
 
 @dataclass(frozen=True)
@@ -38,6 +57,22 @@ class LayerDrive:
 
     qubits: tuple[int, ...]
     step_ops: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How one layer's drives sit in the permuted state (see module doc)."""
+
+    #: drive indices, longest first
+    order: tuple[int, ...]
+    #: axis permutation into the layout (qubits, then the column axis n)
+    into: tuple[int, ...]
+    #: its inverse
+    back: tuple[int, ...]
+    #: ``heads[a]`` = dimension of the first ``a`` drives' qubits
+    heads: tuple[int, ...]
+    #: register basis index at each position of the layout
+    index: np.ndarray
 
 
 class TrotterEngine:
@@ -62,10 +97,33 @@ class TrotterEngine:
         """Number of Trotter steps for a layer of ``duration`` ns."""
         return max(1, int(round(duration / self.dt)))
 
-    def evolve_layer(
+    def _layout(self, drives: Sequence[LayerDrive]) -> _Layout:
+        """The permuted layout of one layer's drives."""
+        n = self.num_qubits
+        order = sorted(range(len(drives)), key=lambda i: -len(drives[i].step_ops))
+        driven = [q for i in order for q in drives[i].qubits]
+        taken = set(driven)
+        if len(taken) != len(driven):
+            raise ValueError(
+                f"drives overlap: {[d.qubits for d in drives]}; a layer's "
+                "pulses must act on disjoint qubits"
+            )
+        perm = driven + [q for q in range(n) if q not in taken]
+        heads = [1]
+        for i in order:
+            heads.append(heads[-1] * 2 ** len(drives[i].qubits))
+        return _Layout(
+            order=tuple(order),
+            into=tuple(perm) + (n,),
+            back=tuple(int(axis) for axis in np.argsort(perm)) + (n,),
+            heads=tuple(heads),
+            index=np.arange(2**n).reshape((2,) * n).transpose(perm).reshape(-1),
+        )
+
+    def _walk(
         self, state: np.ndarray, duration: float, drives: Sequence[LayerDrive]
     ) -> np.ndarray:
-        """Evolve ``state`` through one layer of ``duration`` ns."""
+        """Evolve columns ``(2^n,)`` or ``(2^n, C)`` through one layer."""
         n_steps = self.num_steps(duration)
         for drive in drives:
             if len(drive.step_ops) > n_steps:
@@ -73,16 +131,49 @@ class TrotterEngine:
                     f"drive on {drive.qubits} has {len(drive.step_ops)} steps "
                     f"but the layer only has {n_steps}"
                 )
-        psi = state * self._phase_half
+        layout = self._layout(drives)
+        n = self.num_qubits
+        dim = 2**n
+        columns = state.shape[1] if state.ndim == 2 else 1
+        tensor_shape = (2,) * n + (columns,)
+        ops = [drives[i].step_ops for i in layout.order]
+        dims = [op.shape[1] for op in ops]
+        lengths = [len(op) for op in ops]
+        active = len(ops)
+
+        half = self._phase_half[layout.index]
+        full = self._phase_full[layout.index]
+        psi = np.multiply(
+            state.reshape(tensor_shape).transpose(layout.into),
+            half.reshape((2,) * n + (1,)),
+            order="C",
+        )
         for k in range(n_steps):
-            for drive in drives:
-                if k < len(drive.step_ops):
-                    psi = apply_gate(
-                        psi, drive.step_ops[k], drive.qubits, self.num_qubits
-                    )
-            phase = self._phase_full if k < n_steps - 1 else self._phase_half
-            psi = psi * phase
-        return psi
+            while active and lengths[active - 1] <= k:
+                active -= 1
+            phase = full if k < n_steps - 1 else half
+            for j in range(active):
+                psi = psi.reshape(dims[j], -1).T @ ops[j][k].T
+            head = layout.heads[active]
+            tail = dim // head
+            if active and tail * columns > 1:
+                # Layout is now (tail qubits, columns, head qubits): move the
+                # tail back behind the head while applying the phases.
+                psi = np.multiply(
+                    psi.reshape(tail, columns, head).transpose(2, 0, 1),
+                    phase.reshape(head, tail, 1),
+                    order="C",
+                )
+            else:
+                psi = psi.reshape(dim, columns)
+                psi *= phase[:, None]
+        return psi.reshape(tensor_shape).transpose(layout.back).reshape(state.shape)
+
+    def evolve_layer(
+        self, state: np.ndarray, duration: float, drives: Sequence[LayerDrive]
+    ) -> np.ndarray:
+        """Evolve ``state`` (``(2^n,)`` or ``(2^n, C)``) through one layer."""
+        return self._walk(state, duration, drives)
 
     def evolve_idle(self, state: np.ndarray, duration: float) -> np.ndarray:
         """Pure ZZ evolution (no drives) — exact, single diagonal multiply."""
@@ -91,20 +182,10 @@ class TrotterEngine:
     def layer_unitary(
         self, duration: float, drives: Sequence[LayerDrive]
     ) -> np.ndarray:
-        """Full ``2^n x 2^n`` propagator of a layer (for density-matrix use).
+        """Full ``2^n x 2^n`` propagator of a layer: the walk of the identity.
 
-        Only sensible for small devices (n <= ~8).
+        Only sensible for small devices (n <= ~8; density-matrix use).
         """
-        dim = 2**self.num_qubits
-        n_steps = self.num_steps(duration)
-        mat = np.eye(dim, dtype=complex)
-        mat = self._phase_half[:, None] * mat
-        for k in range(n_steps):
-            for drive in drives:
-                if k < len(drive.step_ops):
-                    mat = apply_gate_matrix(
-                        mat, drive.step_ops[k], drive.qubits, self.num_qubits
-                    )
-            phase = self._phase_full if k < n_steps - 1 else self._phase_half
-            mat = phase[:, None] * mat
-        return mat
+        return self._walk(
+            np.eye(2**self.num_qubits, dtype=complex), duration, drives
+        )

@@ -6,6 +6,8 @@ where physics says they must, the layer-propagator cache is bit-exact, and
 the ``backend`` axis round-trips through campaign cells and stores.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,23 @@ class TestBackendEquivalence:
         )
         assert tj.fidelity == via_driver.fidelity
         assert tj.stderr == via_driver.stderr
+
+    def test_trajectory_stderr_uses_sample_deviation(self):
+        """stderr is std(ddof=1)/sqrt(T); a single trajectory has none."""
+        ideal = np.array([1.0, 0.0], dtype=complex)
+        finals = [
+            np.array([1.0, 0.0], dtype=complex),
+            np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+            np.array([0.0, 1.0], dtype=complex),
+        ]
+        walks = iter(finals)
+        backend = TrajectoryBackend(DECO, num_trajectories=3)
+        out = backend.outcome(lambda: next(walks), ideal)
+        assert out.fidelity == pytest.approx(0.5)
+        assert out.stderr == pytest.approx(0.5 / np.sqrt(3.0), abs=1e-15)
+        single = TrajectoryBackend(DECO, num_trajectories=1)
+        out = single.outcome(lambda: finals[1], ideal)
+        assert out.stderr is None and out.num_trajectories == 1
 
 
 class TestLayerPropagatorCache:
@@ -290,6 +309,9 @@ class TestCellBackendAxis:
         assert traj["stderr"] > 0
         assert "stderr" not in dens
         assert abs(traj["fidelity"] - dens["fidelity"]) < 4.0 * traj["stderr"]
+        single = evaluate_cell(replace(traj_cell, trajectories=1))
+        assert single["num_trajectories"] == 1
+        assert "stderr" not in single
 
     def test_sweep_spec_backend_axis(self):
         spec = SweepSpec(

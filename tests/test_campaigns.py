@@ -239,6 +239,38 @@ class TestRunner:
         assert campaign.computed == len(cells)
         assert len(campaign.records) == len(cells)
 
+    def test_pool_workers_cap_blas_threads(self, monkeypatch, tmp_path):
+        """Every OpenBLAS in each of 2 workers runs cores // 2 threads."""
+        from repro.campaigns import blas, runner
+        from repro.campaigns.costmodel import available_cores
+
+        def report_threads(cell):
+            return {"threads": blas.blas_threads()}
+
+        parent = blas.blas_threads()
+        cap = max(1, available_cores() // 2)
+        monkeypatch.setattr(runner, "evaluate_cell", report_threads)
+        campaign = run_campaign(
+            SMALL_SPEC,
+            ResultStore(tmp_path / "blas.jsonl"),
+            workers=2,
+            fingerprint=FP,
+            dispatch="parallel",
+        )
+        assert campaign.dispatch == "parallel" and campaign.workers == 2
+        expected = {path: min(count, cap) for path, count in parent.items()}
+        for cell in SMALL_SPEC.cells():
+            assert campaign[cell]["threads"] == expected
+        # The cap applies to the workers only, never to the parent.
+        assert blas.blas_threads() == parent
+
+    def test_blas_cap_without_openblas_does_nothing(self, monkeypatch):
+        from repro.campaigns import blas
+
+        monkeypatch.setattr(blas, "loaded_openblas", lambda: {})
+        assert blas.cap_blas_threads(2) == {}
+        assert blas.blas_threads() == {}
+
     def test_analysis_kinds(self):
         exec_cell = Cell("QAOA", 4, "pert+zzx", kind="exec_time")
         out = evaluate_cell(exec_cell)

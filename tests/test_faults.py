@@ -390,6 +390,48 @@ class TestParallelFaultHandling:
         assert campaign.failed == 0
         for cell in SPEC.cells():
             assert campaign[cell] == serial[cell]
+        assert campaign.pool_breaks == 1
+        assert campaign.dispatch == "serial"
+
+    def test_raising_initializer_is_reported_not_silent(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # Every pool breaks before running a cell: the runner respawns
+        # MAX_POOL_RESPAWNS times, then finishes serially — and says so.
+        def broken_initializer(*args):
+            raise RuntimeError("initializer exploded")
+
+        monkeypatch.setattr(runner_mod, "_warm_worker", broken_initializer)
+        serial = run_campaign(SPEC, fingerprint=FP)
+        campaign = run_campaign(
+            SPEC,
+            ResultStore(tmp_path / "s.jsonl"),
+            workers=2,
+            fingerprint=FP,
+            policy=FAST,
+            dispatch="parallel",
+        )
+        assert campaign.failed == 0
+        for cell in SPEC.cells():
+            assert campaign[cell] == serial[cell]
+        assert campaign.pool_breaks == runner_mod.MAX_POOL_RESPAWNS + 1
+        assert campaign.dispatch == "serial"
+        assert "pool broke" in campaign.dispatch_reason
+        assert "serially" in campaign.dispatch_reason
+        err = capsys.readouterr().err
+        assert err.count("process pool broke") == campaign.pool_breaks
+        assert "BrokenProcessPool" in err
+
+    def test_healthy_pool_reports_no_breaks(self, tmp_path):
+        campaign = run_campaign(
+            SPEC,
+            ResultStore(tmp_path / "s.jsonl"),
+            workers=2,
+            fingerprint=FP,
+            dispatch="parallel",
+        )
+        assert campaign.pool_breaks == 0
+        assert campaign.dispatch == "parallel"
 
 
 class TestKill9Resume:

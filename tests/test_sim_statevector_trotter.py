@@ -6,12 +6,7 @@ from repro.qmath.states import random_state, zero_state
 from repro.qmath.tensor import embed_operator, kron_all, zz_diagonal
 from repro.qmath.unitaries import CNOT, HADAMARD, expm_hermitian
 from repro.sim.propagate import propagate_with_zz
-from repro.sim.statevector import (
-    apply_1q_inplace,
-    apply_diagonal_phase,
-    apply_gate,
-    apply_gate_matrix,
-)
+from repro.sim.statevector import apply_gate
 from repro.sim.trotter import LayerDrive, TrotterEngine
 
 
@@ -37,31 +32,35 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(random_state(2, rng), HADAMARD, [0, 1], 2)
 
-    def test_inplace_1q_matches(self, rng):
+    def test_last_qubit_leaves_input_unmodified(self, rng):
         psi = random_state(3, rng)
-        expected = apply_gate(psi, HADAMARD, [2], 3)
-        got = apply_1q_inplace(psi.copy(), HADAMARD, 2, 3)
-        assert np.allclose(got, expected)
+        before = psi.copy()
+        got = apply_gate(psi, HADAMARD, [2], 3)
+        assert np.allclose(got, embed_operator(HADAMARD, [2], 3) @ before)
+        assert np.array_equal(psi, before)
 
 
 class TestApplyGateMatrix:
+    """``apply_gate`` on a ``(2^n, m)`` block evolves every column."""
+
     def test_identity_columns(self, rng):
         mat = np.eye(8, dtype=complex)
-        got = apply_gate_matrix(mat, HADAMARD, [1], 3)
+        got = apply_gate(mat, HADAMARD, [1], 3)
         assert np.allclose(got, embed_operator(HADAMARD, [1], 3))
 
     def test_column_consistency(self, rng):
-        mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        got = apply_gate_matrix(mat, CNOT, [0, 2], 3)
-        expected = embed_operator(CNOT, [0, 2], 3) @ mat
+        mat = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        got = apply_gate(mat, CNOT, [2, 0], 3)
+        expected = embed_operator(CNOT, [2, 0], 3) @ mat
         assert np.allclose(got, expected)
 
 
 class TestDiagonalPhase:
     def test_elementwise(self):
+        # A diagonal operator on every qubit multiplies elementwise.
         psi = np.ones(4, dtype=complex)
         phases = np.exp(1j * np.arange(4))
-        out = apply_diagonal_phase(psi, phases)
+        out = apply_gate(psi, np.diag(phases), [0, 1], 2)
         assert np.allclose(out, phases)
 
 

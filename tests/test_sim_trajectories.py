@@ -100,6 +100,16 @@ class TestExecuteTrajectories:
         )
         assert 0.8 < tj.fidelity <= 1.0
 
+    def test_single_trajectory_has_no_stderr(self, stack):
+        device, lib, schedule = stack
+        deco = DecoherenceModel(t1_ns=100.0 * US, t2_ns=100.0 * US)
+        tj = execute_trajectories(
+            schedule, device, lib, deco, num_trajectories=1, seed=3
+        )
+        assert tj.stderr is None and tj.num_trajectories == 1
+        with pytest.raises(ValueError, match="at least two trajectories"):
+            tj.confidence95
+
     def test_zero_trajectories_rejected(self, stack):
         device, lib, schedule = stack
         deco = DecoherenceModel(t1_ns=1e6, t2_ns=1e6)
