@@ -65,15 +65,14 @@ def blas_threads() -> dict[str, int]:
     return {path: get() for path, (_, get) in loaded_openblas().items()}
 
 
-def cap_blas_threads(workers: int, cores: int | None = None) -> dict[str, int]:
+def cap_blas_threads(workers: int) -> dict[str, int]:
     """Limit every loaded OpenBLAS to ``max(1, cores // workers)`` threads.
 
     Only libraries already loaded are capped; pool workers call this after
     importing numpy and scipy.  Returns the resulting per-library thread
     counts (empty when no OpenBLAS is loaded, in which case nothing changes).
     """
-    cores = available_cores() if cores is None else cores
-    cap = max(1, cores // max(1, workers))
+    cap = max(1, available_cores() // max(1, workers))
     counts = {}
     for path, (set_threads, get_threads) in loaded_openblas().items():
         if get_threads() > cap:

@@ -20,7 +20,8 @@ for a statevector, ``C = 2^n`` for :meth:`TrotterEngine.layer_unitary`):
 - at layer start, one transpose permutes the qubits so every drive's qubits
   are contiguous — drives ordered longest first, idle qubits last — fused
   with the first half-phase multiply (the phase vectors are permuted the
-  same way);
+  same way).  The permutation is memoized per tuple of drive qubits and
+  shares its overlap check with :func:`repro.sim.statevector.apply_local_ops`;
 - per step, one GEMM ``psi.reshape(d, -1).T @ op_k.T`` per active drive
   (``d = 2^k`` for a k-qubit drive).  Each applies the step propagator and
   moves that drive's axes from the front to the back, so the active drives
@@ -39,11 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from repro.qmath.tensor import zz_diagonal
 from repro.sim import DEFAULT_DT
+from repro.sim.statevector import _layout as _group_layout
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,6 @@ class LayerDrive:
 class _Layout:
     """How one layer's drives sit in the permuted state (see module doc)."""
 
-    #: drive indices, longest first
-    order: tuple[int, ...]
     #: axis permutation into the layout (qubits, then the column axis n)
     into: tuple[int, ...]
     #: its inverse
@@ -73,6 +74,28 @@ class _Layout:
     heads: tuple[int, ...]
     #: register basis index at each position of the layout
     index: np.ndarray
+
+
+@lru_cache(maxsize=4096)
+def _walk_layout(groups: tuple[tuple[int, ...], ...], num_qubits: int) -> _Layout:
+    """The walk's layout for drives on ``groups``, already longest first."""
+    into, _ = _group_layout(groups, num_qubits)
+    heads = [1]
+    for group in groups:
+        heads.append(heads[-1] * 2 ** len(group))
+    index = (
+        np.arange(2**num_qubits)
+        .reshape((2,) * num_qubits)
+        .transpose(into[:-1])
+        .reshape(-1)
+    )
+    index.setflags(write=False)
+    return _Layout(
+        into=into,
+        back=tuple(int(axis) for axis in np.argsort(into)),
+        heads=tuple(heads),
+        index=index,
+    )
 
 
 class TrotterEngine:
@@ -97,33 +120,10 @@ class TrotterEngine:
         """Number of Trotter steps for a layer of ``duration`` ns."""
         return max(1, int(round(duration / self.dt)))
 
-    def _layout(self, drives: Sequence[LayerDrive]) -> _Layout:
-        """The permuted layout of one layer's drives."""
-        n = self.num_qubits
-        order = sorted(range(len(drives)), key=lambda i: -len(drives[i].step_ops))
-        driven = [q for i in order for q in drives[i].qubits]
-        taken = set(driven)
-        if len(taken) != len(driven):
-            raise ValueError(
-                f"drives overlap: {[d.qubits for d in drives]}; a layer's "
-                "pulses must act on disjoint qubits"
-            )
-        perm = driven + [q for q in range(n) if q not in taken]
-        heads = [1]
-        for i in order:
-            heads.append(heads[-1] * 2 ** len(drives[i].qubits))
-        return _Layout(
-            order=tuple(order),
-            into=tuple(perm) + (n,),
-            back=tuple(int(axis) for axis in np.argsort(perm)) + (n,),
-            heads=tuple(heads),
-            index=np.arange(2**n).reshape((2,) * n).transpose(perm).reshape(-1),
-        )
-
-    def _walk(
+    def evolve_layer(
         self, state: np.ndarray, duration: float, drives: Sequence[LayerDrive]
     ) -> np.ndarray:
-        """Evolve columns ``(2^n,)`` or ``(2^n, C)`` through one layer."""
+        """Evolve ``state`` (``(2^n,)`` or ``(2^n, C)``) through one layer."""
         n_steps = self.num_steps(duration)
         for drive in drives:
             if len(drive.step_ops) > n_steps:
@@ -131,12 +131,13 @@ class TrotterEngine:
                     f"drive on {drive.qubits} has {len(drive.step_ops)} steps "
                     f"but the layer only has {n_steps}"
                 )
-        layout = self._layout(drives)
+        drives = sorted(drives, key=lambda drive: -len(drive.step_ops))
         n = self.num_qubits
+        layout = _walk_layout(tuple(drive.qubits for drive in drives), n)
         dim = 2**n
         columns = state.shape[1] if state.ndim == 2 else 1
         tensor_shape = (2,) * n + (columns,)
-        ops = [drives[i].step_ops for i in layout.order]
+        ops = [drive.step_ops for drive in drives]
         dims = [op.shape[1] for op in ops]
         lengths = [len(op) for op in ops]
         active = len(ops)
@@ -169,12 +170,6 @@ class TrotterEngine:
                 psi *= phase[:, None]
         return psi.reshape(tensor_shape).transpose(layout.back).reshape(state.shape)
 
-    def evolve_layer(
-        self, state: np.ndarray, duration: float, drives: Sequence[LayerDrive]
-    ) -> np.ndarray:
-        """Evolve ``state`` (``(2^n,)`` or ``(2^n, C)``) through one layer."""
-        return self._walk(state, duration, drives)
-
     def evolve_idle(self, state: np.ndarray, duration: float) -> np.ndarray:
         """Pure ZZ evolution (no drives) — exact, single diagonal multiply."""
         return state * np.exp(-1.0j * self._zz_diag * duration)
@@ -186,6 +181,6 @@ class TrotterEngine:
 
         Only sensible for small devices (n <= ~8; density-matrix use).
         """
-        return self._walk(
+        return self.evolve_layer(
             np.eye(2**self.num_qubits, dtype=complex), duration, drives
         )
