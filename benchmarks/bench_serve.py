@@ -1,14 +1,15 @@
 """Serving benchmarks: warm daemon round-trips vs cold per-request cost.
 
-Boots one in-process ``repro serve`` daemon *per backend* (thread /
-process) and times complete client round-trips (HTTP parse, queue,
-batch, compile, response) with warm caches — the steady state the daemon
-exists for — plus a concurrent burst, and the per-request cold-process
-baseline each request would pay without the daemon (fresh interpreter,
-imports, topology build, cold plan cache).  The warm-request/cold
-ratio is the serving layer's contribution; the thread-vs-process A/B on
-the burst is the multicore story (on a 1-core box the two tie — the
-process pool pays IPC without gaining parallelism).  Through
+Boots one in-process ``repro serve`` daemon *per worker count* (0: batches
+run in the daemon process; 2: two fork-warm worker processes) and times
+complete client round-trips (HTTP parse, queue, batch, compile, response)
+with warm caches — the steady state the daemon exists for — plus a
+concurrent burst, and the per-request cold-process baseline each request
+would pay without the daemon (fresh interpreter, imports, topology build,
+cold plan cache).  The warm-request/cold ratio is the serving layer's
+contribution; the in-process-vs-pool A/B on the burst is the multicore
+story (on a 1-core box in-process wins — the pool pays IPC without
+gaining parallelism).  Through
 ``scripts/dump_bench.py`` these land in the ``BENCH_<n>.json`` trend
 snapshots.
 """
@@ -32,17 +33,15 @@ POINTS = [
 if FULL:
     POINTS.append(("osprey", "qaoa"))
 
-BACKENDS = ("thread", "process")
+WORKERS = (0, 2)
 
 BURST_CLIENTS = 4
 BURST_PER_CLIENT = 4
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(scope="module", params=WORKERS, ids=lambda n: f"workers{n}")
 def daemon(request):
-    server = ReproServer(
-        ServeConfig(port=0, workers=2, backend=request.param)
-    )
+    server = ReproServer(ServeConfig(port=0, workers=request.param))
     thread = server.start_background()
     client = ServeClient(port=server.port)
     client.wait_ready()
@@ -68,9 +67,8 @@ def test_serve_warm_request(benchmark, daemon, name, kind):
 def test_serve_concurrent_burst(benchmark, daemon):
     """A 4-client burst of 16 warm eagle requests, wall-clock.
 
-    The thread-vs-process fixture split makes this the CPU-bound
-    throughput A/B: with ≥2 usable cores the process backend's burst
-    should be strictly faster.
+    The workers 0-vs-2 fixture split makes this the CPU-bound throughput
+    A/B: with ≥2 usable cores the pool's burst should be strictly faster.
     """
 
     def burst():

@@ -318,8 +318,8 @@ def _deadline(seconds: float | None):
     On the main thread this arms SIGALRM (``signal.signal`` raises
     ``ValueError`` anywhere else); pool workers run tasks on their main
     thread, so both campaign dispatch paths use the hard timer.  Off the
-    main thread — ``repro serve`` evaluates cells on executor threads —
-    a :class:`threading.Timer` injects :class:`_CellTimeout` into the
+    main thread — ``repro serve --serve-workers 0`` evaluates cells on
+    its dispatcher thread — a :class:`threading.Timer` injects :class:`_CellTimeout` into the
     evaluating thread instead.  That fallback is *soft*: the exception
     lands at the next bytecode boundary, so a single long-blocking C
     call can overrun its budget (a chunked sleep or python-level loop
@@ -461,9 +461,10 @@ def _supervise(
     )
 
 
-def _persist(
+def persist_outcome(
     store: ResultStore, cell: Cell, outcome: CellOutcome, fingerprint: str
 ) -> None:
+    """Record one supervised outcome (campaigns and the serve daemon)."""
     store.put(
         cell,
         outcome.result,
@@ -827,7 +828,7 @@ def _run_serial(
         outcome = supervised_evaluate(cell, policy)
         # Persist before the abort check: an aborting campaign keeps the
         # failure record that pushed it over the threshold.
-        _persist(store, cell, outcome, fingerprint)
+        persist_outcome(store, cell, outcome, fingerprint)
         tracker.note(outcome)
 
 
@@ -906,7 +907,7 @@ def _run_parallel(
                             - outcome.elapsed_s,
                         ),
                     )
-                    _persist(store, cell, outcome, fingerprint)
+                    persist_outcome(store, cell, outcome, fingerprint)
                     tracker.note(outcome)
                     del todo[cell]
                 if broken is not None:

@@ -172,6 +172,10 @@ class DeviceSpec:
                 f"unknown device family {self.family!r}; "
                 f"known: {', '.join(DEVICE_FAMILIES)}"
             )
+        if self.family == "grid" and (self.rows < 1 or self.cols < 1):
+            raise ValueError(
+                f"grid rows and cols must be >= 1, got {self.rows}x{self.cols}"
+            )
         if self.family == "heavy_hex" and (self.rows < 3 or self.rows % 2 == 0):
             raise ValueError("heavy-hex distance (rows) must be odd and >= 3")
 
@@ -254,6 +258,19 @@ class Cell:
         kind, backend = normalize_backend_axis(self.kind, self.backend, "cells")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "backend", backend)
+        if not 1 <= self.num_qubits <= self.device.num_qubits:
+            raise ValueError(
+                f"num_qubits must be in 1..{self.device.num_qubits} "
+                f"(device {self.device.label}), got {self.num_qubits}"
+            )
+        if backend == "density":
+            from repro.runtime.backends.density import MAX_DENSITY_QUBITS
+
+            if self.num_qubits > MAX_DENSITY_QUBITS:
+                raise ValueError(
+                    f"density cells are capped at {MAX_DENSITY_QUBITS} "
+                    f"qubits, got {self.num_qubits}"
+                )
         if backend in ("density", "trajectories"):
             if self.t1_us is None or self.t2_us is None:
                 raise ValueError(

@@ -26,9 +26,9 @@ Subcommands:
 - ``stats`` — render a telemetry trace (span tree, cache hit ratios,
   latency percentiles), or diff two traces;
 - ``serve`` — run the compilation-as-a-service daemon: warm caches
-  answering compile/simulate requests over local HTTP/JSON, on worker
-  threads or fork-warm worker processes (``--backend thread|process``;
-  see "Serving compiles" in EXPERIMENTS.md);
+  answering compile/simulate requests over local HTTP/JSON, on fork-warm
+  worker processes (``--serve-workers N``; 0 runs them in the daemon
+  process — see "Serving compiles" in EXPERIMENTS.md);
 - ``bench-serve`` — load-test an in-process daemon with concurrent mixed
   workloads and report latency percentiles, batching, and the speedup
   over per-request cold processes.
@@ -707,7 +707,6 @@ def _cmd_serve(args) -> int:
         batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         workers=args.serve_workers,
-        backend=args.backend,
         plan_cache_size=args.plan_cache_size,
         store=args.store,
     )
@@ -715,7 +714,7 @@ def _cmd_serve(args) -> int:
     thread = server.start_background()
     print(
         f"repro serve listening on {config.host}:{server.port} "
-        f"({config.workers} {config.backend} workers, "
+        f"({config.workers} workers, "
         f"queue {config.queue_size}, "
         f"batch window {config.batch_window_s * 1000:.0f}ms) — "
         "Ctrl-C or POST /shutdown to stop"
@@ -747,7 +746,6 @@ def _cmd_bench_serve(args) -> int:
         batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         workers=args.serve_workers,
-        backend=args.backend,
     )
     start = time.perf_counter()
     report = run_load_test(
@@ -1093,17 +1091,16 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
         "--serve-workers",
         type=int,
         default=4,
-        help="daemon workers: threads or processes per --backend (default 4)",
+        help="fork-warm worker processes executing batches; 0 executes "
+        "them in the daemon process with no IPC, for 1-core boxes "
+        "(default 4)",
     )
     parser.add_argument(
         "--backend",
-        default="thread",
-        # Mirrors repro.serve.daemon.BACKENDS (not imported here: parser
-        # construction must not pay for the serve stack).
-        choices=("thread", "process"),
-        help="batch executor: 'thread' shares every cache in one process "
-        "(GIL-bound); 'process' forks warm worker processes for "
-        "multicore compile scaling (default thread)",
+        default="process",
+        choices=("process",),
+        help="batch executor; worker processes are the only one, so this "
+        "flag exists for scripts that pass it (default process)",
     )
 
 

@@ -1,15 +1,16 @@
 """Compilation-as-a-service: the ``repro serve`` daemon and its clients.
 
-A long-lived asyncio process that keeps the warm caches
-(:class:`~repro.scheduling.plan_cache.SuppressionPlanCache`, the pulse
-library cache, per-(library, device, noise)
-:class:`~repro.runtime.backends.LayerPropagatorCache` instances, and a
-campaign :class:`~repro.campaigns.store.ResultStore`) hot and serves
-concurrent compile/simulate requests over a local HTTP/JSON protocol
-with keep-alive connections.  Batches execute on a thread pool
-(``--backend thread``) or on fork-warm worker processes
-(``--backend process``, :class:`~repro.serve.procpool.ProcessWorkerPool`)
-for multicore scaling — see EXPERIMENTS.md "Serving compiles".
+A long-lived asyncio process serves concurrent compile/simulate requests
+over a local HTTP/JSON protocol with keep-alive connections.  Batches run
+on ``--serve-workers`` fork-warm worker processes
+(:class:`~repro.serve.procpool.ProcessWorkerPool`), each keeping its
+warm caches hot (:class:`~repro.scheduling.plan_cache.SuppressionPlanCache`,
+the pulse library cache, per-(library, device, noise)
+:class:`~repro.runtime.backends.LayerPropagatorCache` instances); with
+``--serve-workers 0`` the daemon process runs them itself.  The daemon
+process alone reads and writes the campaign
+:class:`~repro.campaigns.store.ResultStore` that answers repeat simulate
+requests — see EXPERIMENTS.md "Serving compiles".
 """
 
 from repro.serve.client import ServeClient, ServeError

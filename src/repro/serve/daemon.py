@@ -1,29 +1,32 @@
-"""The ``repro serve`` daemon: asyncio front, thread- or process-pool back.
+"""The ``repro serve`` daemon: asyncio front, fork-warm worker processes.
 
-Architecture (one front, two interchangeable backends):
+Architecture:
 
 - an :mod:`asyncio` server accepts local HTTP/1.1 connections — now with
   **keep-alive**: a client reuses one connection across a session
   instead of paying a reconnect per request — and parses JSON requests
   (``POST /request``), plus ``GET /health``, ``GET /stats`` and ``POST
   /shutdown`` control endpoints;
-- accepted requests enter a **bounded** queue — when it is full the
-  daemon answers ``503 {"status": "overloaded"}`` immediately instead of
-  buffering unboundedly;
+- a simulate request whose cell already has an ``ok`` record in the
+  :class:`~repro.campaigns.store.ResultStore` is answered from it on the
+  spot (``cached: true``); everything else enters a **bounded** queue —
+  when it is full the daemon answers ``503 {"status": "overloaded"}``
+  immediately instead of buffering unboundedly;
 - a single batcher coroutine drains the queue adaptively — whatever is
   already queued ships at once when a worker is free, and while all
   workers are busy it keeps coalescing up to ``batch_window_s`` more —
   groups what it drained by topology fingerprint
-  (:meth:`CompileService.batch_key`) and hands each group to the
-  configured backend:
-
-  - ``backend="thread"`` (default): a thread pool calling the shared
-    thread-safe :class:`CompileService` — one process, caches shared by
-    construction, but GIL-bound for CPU-heavy compiles;
-  - ``backend="process"``: N fork-warm worker *processes*
-    (:class:`~repro.serve.procpool.ProcessWorkerPool`) fed over
-    per-worker pipes by dispatcher threads — true multicore compiles; a
-    dead worker is respawned and its in-flight batch re-dispatched.
+  (:meth:`CompileService.batch_key`) and hands each group to a
+  dispatcher thread, which ships it over a pipe to one of
+  ``workers`` fork-warm worker processes
+  (:class:`~repro.serve.procpool.ProcessWorkerPool`; a dead worker is
+  respawned and its in-flight batch re-dispatched).  ``workers=0``
+  instead runs :meth:`CompileService.handle` on the one dispatcher
+  thread, with no IPC — the choice for 1-core boxes;
+- every computed simulate outcome comes back to the event loop, which
+  writes it to the store before answering.  The event loop is the
+  store's only reader and writer, so store access is serialized without
+  a lock, and one JSONL file serves any number of workers.
 
 Failures are *visible*: a handler error payload rides a non-200 status
 (500, or 503 for shutdown-drained requests), and malformed HTTP input is
@@ -44,11 +47,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, parse_request
+from repro.campaigns.fingerprint import library_fingerprint
+from repro.campaigns.runner import persist_outcome
+from repro.campaigns.spec import cell_key
+from repro.campaigns.store import ResultStore, record_status
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    SimulateRequest,
+    parse_request,
+)
 from repro.serve.service import (
     DEFAULT_PLAN_CACHE_SIZE,
     DEFAULT_PROP_CACHE_SIZE,
+    OUTCOME_KEY,
     CompileService,
+    stored_response,
 )
 from repro.telemetry import counter, gauge_max, observe, span
 
@@ -68,9 +82,6 @@ _REASONS = {
 
 #: Cap on request bodies; a local JSON request has no business being larger.
 MAX_BODY_BYTES = 4 * 1024 * 1024
-
-#: The serve worker backends (``ServeConfig.backend``).
-BACKENDS = ("thread", "process")
 
 
 class _BadRequest(Exception):
@@ -94,16 +105,13 @@ class ServeConfig:
     batch_window_s: float = 0.01
     #: Hard cap on requests per batch.
     max_batch: int = 32
-    #: Worker threads (thread backend) or worker processes (process
-    #: backend) executing batches.
+    #: Worker processes executing batches; 0 executes them in the daemon
+    #: process on one dispatcher thread, with no IPC.
     workers: int = 4
-    #: ``"thread"`` (one process, GIL-shared caches) or ``"process"``
-    #: (fork-warm worker processes for multicore scaling).
-    backend: str = "thread"
     plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE
     prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE
-    #: Optional ResultStore path for simulate requests (thread backend
-    #: only — process workers keep per-worker in-memory stores).
+    #: ResultStore path for simulate results (None: in memory, so repeat
+    #: requests are still answered from it for the daemon's lifetime).
     store: str | None = None
 
 
@@ -137,21 +145,28 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig | None = None, service: CompileService | None = None):
         self.config = config or ServeConfig()
-        if self.config.backend not in BACKENDS:
+        if self.config.workers < 0:
             raise ValueError(
-                f"unknown serve backend {self.config.backend!r}; "
-                f"known: {', '.join(BACKENDS)}"
+                f"serve workers must be >= 0, got {self.config.workers}"
             )
         self.service = service or CompileService(
             plan_cache_size=self.config.plan_cache_size,
             prop_cache_size=self.config.prop_cache_size,
-            store=self.config.store,
         )
+        #: Touched only on the event loop: read before queueing, written
+        #: as outcomes come back, counted by /stats.
+        self.store = ResultStore(self.config.store)
+        self.store_hits = 0
+        self._fingerprint = library_fingerprint()
+        #: Front-side batch accounting, also event-loop only.
+        self.batches = 0
+        self.batched_requests = 0
+        self.max_batch = 0
         #: Actual bound port, available once ``started`` is set (lets
         #: tests and the load harness bind port 0 for an ephemeral port).
         self.port: int | None = None
         self.started = threading.Event()
-        #: The worker pool of the process backend (None under thread).
+        #: The worker pool (None when ``workers=0``).
         self.procpool = None
         #: Connections accepted since start (keep-alive reuse shows up
         #: as requests outnumbering connections in /stats).
@@ -189,20 +204,10 @@ class ReproServer:
         """Fork the worker processes (before any helper threads exist)."""
         from repro.serve.procpool import ProcessWorkerPool
 
-        store = self.config.store
-        if store is not None:
-            # Concurrent appends from N processes would interleave in one
-            # JSONL file; per-worker in-memory stores still answer repeat
-            # requests warm for the daemon's lifetime.
-            logger.warning(
-                "--store is not shared across process workers; "
-                "simulate results are cached per worker in memory"
-            )
         pool = ProcessWorkerPool(
             self.config.workers,
             plan_cache_size=self.config.plan_cache_size,
             prop_cache_size=self.config.prop_cache_size,
-            store=None,
         )
         pool.start()
         return pool
@@ -211,16 +216,17 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        # Fork the process backend's workers first: children must not
-        # inherit a half-started thread pool or in-flight batches.
-        if self.config.backend == "process":
+        # Fork the workers first: children must not inherit a
+        # half-started thread pool or in-flight batches.
+        if self.config.workers > 0:
             self.procpool = self._start_procpool()
         # Backpressure: the batcher only dispatches while a worker slot is
         # free, so saturation fills the bounded queue (and trips 503s)
         # instead of growing the executor's unbounded internal queue.
-        self._slots = asyncio.Semaphore(self.config.workers)
+        slots = max(1, self.config.workers)
+        self._slots = asyncio.Semaphore(slots)
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="serve-worker"
+            max_workers=slots, thread_name_prefix="serve-dispatch"
         )
         server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -229,8 +235,8 @@ class ReproServer:
         batcher = asyncio.create_task(self._batch_loop())
         self.started.set()
         logger.info(
-            "repro serve listening on %s:%d (%s backend)",
-            self.config.host, self.port, self.config.backend,
+            "repro serve listening on %s:%d (%d workers)",
+            self.config.host, self.port, self.config.workers,
         )
         try:
             async with server:
@@ -370,7 +376,7 @@ class ReproServer:
             return 200, {
                 "status": "ok",
                 "version": PROTOCOL_VERSION,
-                "backend": self.config.backend,
+                "workers": self.config.workers,
             }
         if method == "GET" and path == "/stats":
             return 200, self._stats_payload()
@@ -384,20 +390,25 @@ class ReproServer:
                                "message": f"{method} {path} is not an endpoint"}}
 
     def _stats_payload(self) -> dict:
+        """Service statistics (summed over workers) plus front-side ones.
+
+        ``requests``/``errors`` count what a service handled; store hits
+        never reach one and are counted in ``store_hits`` instead.
+        """
         if self.procpool is not None:
             stats = self.procpool.stats()
-            # Batching is front-side accounting in the process backend.
-            stats.update(
-                batches=self.service.batches,
-                batched_requests=self.service.batched_requests,
-                max_batch=self.service.max_batch,
-            )
         else:
             stats = self.service.stats()
-        stats["backend"] = self.config.backend
-        stats["workers"] = self.config.workers
-        stats["connections"] = self.connections
-        stats["queue_depth"] = self._queue.qsize()
+        stats.update(
+            workers=self.config.workers,
+            batches=self.batches,
+            batched_requests=self.batched_requests,
+            max_batch=self.max_batch,
+            store_hits=self.store_hits,
+            store={"path": self.config.store, "records": len(self.store)},
+            connections=self.connections,
+            queue_depth=self._queue.qsize(),
+        )
         return stats
 
     async def _enqueue(self, body: bytes) -> tuple[int, dict]:
@@ -410,6 +421,9 @@ class ReproServer:
         except ProtocolError as exc:
             return 400, {"status": "error",
                          "error": {"type": "ProtocolError", "message": str(exc)}}
+        stored = self._stored_answer(request)
+        if stored is not None:
+            return 200, stored
         pending = _Pending(request=request, future=self._loop.create_future())
         try:
             self._queue.put_nowait(pending)
@@ -421,6 +435,17 @@ class ReproServer:
                                               f"({self.config.queue_size})"}}
         response = await pending.future
         return _status_for(response), response
+
+    def _stored_answer(self, request) -> dict | None:
+        """The response to a simulate request whose cell is stored ``ok``."""
+        if not isinstance(request, SimulateRequest):
+            return None
+        record = self.store.get(cell_key(request.cell, self._fingerprint))
+        if record is None or record_status(record) != "ok":
+            return None
+        self.store_hits += 1
+        counter("serve.store_hit")
+        return {**stored_response(record), "batch_size": 1}
 
     # -- batching back ------------------------------------------------------
 
@@ -457,10 +482,18 @@ class ReproServer:
                     groups.setdefault(
                         self._batch_key(pending), []
                     ).append(pending)
-                for key, group in groups.items():
+                for group in groups.values():
                     await self._slots.acquire()
+                    # Account the batch before it runs: a client must not
+                    # see its response while /stats still lacks the batch.
+                    self.batches += 1
+                    self.batched_requests += len(group)
+                    self.max_batch = max(self.max_batch, len(group))
+                    counter("serve.batches")
+                    counter("serve.batched_requests", len(group))
+                    gauge_max("serve.batch_max", len(group))
                     task = self._loop.run_in_executor(
-                        self._executor, self._run_batch, key, group
+                        self._executor, self._run_batch, group
                     )
                     self._inflight.add(task)
                     task.add_done_callback(self._batch_done)
@@ -488,42 +521,46 @@ class ReproServer:
         except Exception:
             return f"!{id(pending)}"
 
-    def _run_batch(self, key: str, group: list[_Pending]) -> None:
-        """Worker/dispatcher-thread body: serve one same-fingerprint group."""
+    def _run_batch(self, group: list[_Pending]) -> None:
+        """Dispatcher-thread body: serve one same-fingerprint group."""
         started = time.perf_counter()
         for pending in group:
             observe("serve.queue_wait", max(0.0, started - pending.enqueued))
-        # Account the batch before resolving futures: a client must not
-        # see its response while /stats still lacks the batch it rode in.
-        self.service.note_batch(len(group))
-        counter("serve.batches")
-        counter("serve.batched_requests", len(group))
-        gauge_max("serve.batch_max", len(group))
         if self.procpool is not None:
-            # Dispatcher mode: ship the group to a fork-warm worker
-            # process and block on its reply (the GIL is released while
-            # waiting, so N dispatchers drive N cores of real compiles).
+            # Ship the group to a fork-warm worker process and block on
+            # its reply (the GIL is released while waiting, so N
+            # dispatchers drive N cores of real compiles).
             responses = self.procpool.run_batch(
                 [pending.request for pending in group]
             )
             for pending, response in zip(group, responses):
-                response.setdefault("batch_size", len(group))
                 self._loop.call_soon_threadsafe(
-                    _resolve, pending.future, response
+                    self._answer, pending, response, len(group)
                 )
             return
         with span("serve.batch", group=f"x{len(group)}"):
             for pending in group:
-                response = dict(self.service.handle(pending.request))
-                response.setdefault("batch_size", len(group))
+                response = self.service.handle(pending.request)
                 self._loop.call_soon_threadsafe(
-                    _resolve, pending.future, response
+                    self._answer, pending, response, len(group)
                 )
 
+    def _answer(self, pending: _Pending, response: dict, batch_size: int) -> None:
+        """Event-loop side of a reply: persist its outcome, then resolve.
 
-def _resolve(future: asyncio.Future, response: dict) -> None:
-    if not future.done():
-        future.set_result(response)
+        A failed store append still answers the client (the loop logs
+        the error); the append itself is one small line per outcome.
+        """
+        response.setdefault("batch_size", batch_size)
+        outcome = response.pop(OUTCOME_KEY, None)
+        try:
+            if outcome is not None:
+                persist_outcome(
+                    self.store, pending.request.cell, outcome, self._fingerprint
+                )
+        finally:
+            if not pending.future.done():
+                pending.future.set_result(response)
 
 
 def run_server(config: ServeConfig | None = None) -> None:

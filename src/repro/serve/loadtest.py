@@ -151,7 +151,6 @@ def run_load_test(
     report: dict = {
         "requests": requests,
         "clients": clients,
-        "backend": config.backend,
         "workers": config.workers,
         "devices": list(devices),
         "circuits": list(circuits),
@@ -268,8 +267,7 @@ def render(report: dict) -> str:
     lines = [
         f"serve load test: {report['requests']} requests, "
         f"{report['clients']} clients, {report['combos']} workload combos "
-        f"({report.get('backend', 'thread')} backend, "
-        f"{report.get('workers', '?')} workers)",
+        f"({report.get('workers', '?')} workers)",
         f"warmup {report.get('warmup_s', 0):.3f}s, "
         f"run {report.get('wall_s', 0):.3f}s "
         f"({report.get('throughput_rps', 0)} req/s), "

@@ -1,11 +1,11 @@
 """Fork-warm worker *processes* behind the ``repro serve`` front.
 
-The thread backend keeps every cache in one process but is GIL-bound:
-N worker threads compiling CPU-bound schedules time-slice one core.
-This module is the ``--backend process`` alternative — the same asyncio
-front (bounded queue, adaptive same-topology batcher) feeds batches to
-N long-lived worker *processes* over per-worker pipes, so a multicore
-box compiles N batches genuinely in parallel.
+The daemon's asyncio front (bounded queue, adaptive same-topology
+batcher) feeds batches to N long-lived worker *processes* over
+per-worker pipes, so a multicore box compiles N batches genuinely in
+parallel instead of time-slicing one GIL.  Workers compute only: each
+runs a store-less :class:`~repro.serve.service.CompileService`, and the
+daemon parent answers stored simulate results and persists new ones.
 
 Warm start reuses the campaign runner's fork-warm machinery
 (:func:`repro.campaigns.runner.prewarm_worker_parent` /
@@ -123,7 +123,6 @@ class ProcessWorkerPool:
         *,
         plan_cache_size: int | None = None,
         prop_cache_size: int | None = None,
-        store: str | None = None,
         methods: tuple[str, ...] | None = None,
     ):
         self.size = max(1, workers)
@@ -131,7 +130,6 @@ class ProcessWorkerPool:
         self._service_options = {
             "plan_cache_size": plan_cache_size,
             "prop_cache_size": prop_cache_size,
-            "store": store,
         }
         self._plan_snapshot: tuple | None = None
         self._idle: queue.Queue[_Worker] = queue.Queue()
@@ -279,10 +277,9 @@ class ProcessWorkerPool:
         """
         with self._stats_lock:
             snapshots = list(self._worker_stats.values())
-        totals = {"requests": 0, "errors": 0, "store_hits": 0}
+        totals = {"requests": 0, "errors": 0}
         plan = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
         prop = {"instances": 0, "hits": 0, "misses": 0, "evictions": 0}
-        records = 0
         for snap in snapshots:
             for key in totals:
                 totals[key] += snap.get(key, 0)
@@ -290,13 +287,8 @@ class ProcessWorkerPool:
                 plan[key] += (snap.get("plan_cache") or {}).get(key, 0)
             for key in prop:
                 prop[key] += (snap.get("prop_caches") or {}).get(key, 0)
-            records += (snap.get("store") or {}).get("records", 0)
         totals["plan_cache"] = plan
         totals["prop_caches"] = prop
-        totals["store"] = {
-            "path": self._service_options.get("store"),
-            "records": records,
-        }
         totals["worker_processes"] = self.size
         totals["respawns"] = self.respawns
         return totals

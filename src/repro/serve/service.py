@@ -12,17 +12,20 @@ compile/simulate path and keeps it hot across requests:
 - per-``(library, device, noise)``
   :class:`~repro.runtime.backends.LayerPropagatorCache` instances for
   simulate requests — *keyed* instances, because a propagator cache must
-  not outlive one (library, device couplings, noise) validity domain;
-- an optional campaign :class:`~repro.campaigns.store.ResultStore`, so
-  repeated simulate requests are answered from disk exactly like a
-  resumed sweep.
+  not outlive one (library, device couplings, noise) validity domain.
 
-Handlers are synchronous and thread-safe: the daemon calls them from a
-thread pool, so every piece of shared state is either lock-guarded here
-or internally thread-safe (the caches after this PR).  Results are
-bit-identical to one-shot CLI runs: compile responses digest the same
-schedule a fresh ``repro sched-bench`` process would emit, simulate
-responses reuse the exact campaign evaluation path (same store records).
+Each serve worker process runs one service; with ``--serve-workers 0``
+the daemon process runs it on its dispatcher thread while the event
+loop reads :meth:`CompileService.stats`, so the counters and the
+propagator-cache map stay lock-guarded.  The service never touches a
+:class:`~repro.campaigns.store.ResultStore`: a simulate response carries
+its supervised outcome under :data:`OUTCOME_KEY`, and the daemon parent
+— the store's only reader and writer — persists and strips it.
+
+Results are bit-identical to one-shot CLI runs: compile responses digest
+the same schedule a fresh ``repro sched-bench`` process would emit,
+simulate responses reuse the exact campaign evaluation path (same store
+records).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from functools import lru_cache
 from repro.campaigns.fingerprint import library_fingerprint
 from repro.campaigns.runner import cached_topology, supervised_evaluate
 from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
-from repro.campaigns.store import ResultStore, record_status
 from repro.runtime.backends import LayerPropagatorCache
 from repro.scheduling.plan_cache import SuppressionPlanCache
 from repro.scheduling.requirement import SuppressionRequirement
@@ -53,6 +55,23 @@ DEFAULT_PLAN_CACHE_SIZE = 4096
 
 #: Default bound per layer-propagator cache (entries per map, FIFO).
 DEFAULT_PROP_CACHE_SIZE = 512
+
+#: Response field holding a simulate request's
+#: :class:`~repro.campaigns.runner.CellOutcome` for the daemon to persist;
+#: never part of what a client receives.
+OUTCOME_KEY = "outcome"
+
+
+def stored_response(record: dict) -> dict:
+    """The simulate response answering from a stored ``ok`` record."""
+    return {
+        "status": "ok",
+        "kind": "simulate",
+        "key": record["key"],
+        "result": record["result"],
+        "elapsed_s": 0.0,
+        "cached": True,
+    }
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +103,6 @@ class CompileService:
         *,
         plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE,
         prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE,
-        store: ResultStore | str | None = None,
         policy: RetryPolicy | None = None,
         plan_cache: SuppressionPlanCache | None = None,
     ):
@@ -98,20 +116,11 @@ class CompileService:
         self.plan_cache = plan_cache
         self.prop_cache_size = prop_cache_size
         self._prop_caches: dict[tuple, LayerPropagatorCache] = {}
-        # No path -> in-memory store: repeat simulate requests are still
-        # answered from the first evaluation for the daemon's lifetime.
-        if store is None or isinstance(store, str):
-            store = ResultStore(store)
-        self.store = store
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._fingerprint = library_fingerprint()
         self._lock = threading.Lock()
         self.requests = 0
         self.errors = 0
-        self.store_hits = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch = 0
 
     # -- batching support ---------------------------------------------------
 
@@ -129,13 +138,6 @@ class CompileService:
         return cached_topology(
             device.family, device.rows, device.cols
         ).fingerprint
-
-    def note_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            if size > self.max_batch:
-                self.max_batch = size
 
     # -- request handlers ---------------------------------------------------
 
@@ -210,53 +212,21 @@ class CompileService:
 
     def _handle_simulate(self, request: SimulateRequest) -> dict:
         cell = request.cell
-        key = cell_key(cell, self._fingerprint)
-        if self.store is not None:
-            with self._lock:
-                record = self.store.get(key)
-            if record is not None and record_status(record) == "ok":
-                with self._lock:
-                    self.store_hits += 1
-                counter("serve.store_hit")
-                return {
-                    "status": "ok",
-                    "kind": "simulate",
-                    "key": key,
-                    "result": record["result"],
-                    "elapsed_s": 0.0,
-                    "cached": True,
-                }
         outcome = supervised_evaluate(
             cell, self.policy, prop_cache=self._prop_cache_for(cell)
         )
-        if self.store is not None:
-            with self._lock:
-                self.store.put(
-                    cell,
-                    outcome.result,
-                    fingerprint=self._fingerprint,
-                    elapsed_s=outcome.elapsed_s,
-                    status=outcome.status,
-                    error=outcome.error,
-                    attempts=outcome.attempts,
-                    telemetry=outcome.telemetry,
-                )
-        if not outcome.ok:
-            return {
-                "status": "error",
-                "kind": "simulate",
-                "key": key,
-                "error": outcome.error,
-                "elapsed_s": outcome.elapsed_s,
-            }
-        return {
-            "status": "ok",
+        response = {
+            "status": "ok" if outcome.ok else "error",
             "kind": "simulate",
-            "key": key,
-            "result": outcome.result,
+            "key": cell_key(cell, self._fingerprint),
             "elapsed_s": outcome.elapsed_s,
-            "cached": False,
+            OUTCOME_KEY: outcome,
         }
+        if outcome.ok:
+            response.update(result=outcome.result, cached=False)
+        else:
+            response["error"] = outcome.error
+        return response
 
     # -- introspection ------------------------------------------------------
 
@@ -271,18 +241,7 @@ class CompileService:
                     c.evictions for c in self._prop_caches.values()
                 ),
             }
-            stats = {
-                "requests": self.requests,
-                "errors": self.errors,
-                "store_hits": self.store_hits,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "max_batch": self.max_batch,
-            }
+            stats = {"requests": self.requests, "errors": self.errors}
         stats["plan_cache"] = self.plan_cache.stats
         stats["prop_caches"] = prop
-        stats["store"] = {
-            "path": str(self.store.path) if self.store is not None and self.store.path else None,
-            "records": len(self.store) if self.store is not None else 0,
-        }
         return stats

@@ -1,10 +1,17 @@
 """Concurrency hammers for the warm caches and the telemetry collector.
 
-The serve daemon calls every cache from a thread pool, so the contracts
-under test are the multi-threaded ones: N threads x M keys must compute
-each key exactly once (waiters block on the in-flight computation and
-count as hits), statistics must stay consistent (no lost updates), and
-FIFO eviction must respect the size bound.
+In ``repro serve`` each cache is written by one thread only — a worker
+process's main thread, or the dispatcher thread of a ``--serve-workers
+0`` daemon — while the event loop reads the counters for ``/stats``.
+The caches stay thread-safe anyway because they are shared objects:
+``SHARED_PLAN_CACHE`` is module-global, so any in-process caller that
+threads its own compiles or evaluations (a workers=0 daemon next to the
+caller's thread included) shares it.  The contracts under test are the
+multi-threaded ones: N threads x M keys must compute each key exactly
+once (waiters block on the in-flight computation and count as hits),
+statistics must stay consistent (no lost updates), and FIFO eviction
+must respect the size bound.  The telemetry collector is hammered too,
+because the daemon's dispatcher threads merge worker snapshots into it.
 """
 
 import threading

@@ -17,6 +17,8 @@ from repro.campaigns import (
     sweep_table,
 )
 from repro.campaigns.report import report_from_store, store_summary
+from repro.campaigns.spec import CONFIGS, FIG23_DEVICE, PAPER_DEVICE
+from repro.circuits.library import PAPER_SIZES
 from repro.experiments import fig20_overall
 from repro.experiments.common import BenchmarkCase, run_config
 
@@ -64,6 +66,44 @@ class TestSpec:
             Cell("QAOA", 4, "nope")
         with pytest.raises(ValueError):
             Cell("QAOA", 4, "gau+par", kind="density")  # missing t1/t2
+
+    def test_cell_and_device_bounds(self):
+        with pytest.raises(ValueError, match="grid rows and cols"):
+            DeviceSpec(rows=0, cols=-1)
+        with pytest.raises(ValueError, match="num_qubits"):
+            Cell("QAOA", -3, "gau+par")
+        with pytest.raises(ValueError, match="num_qubits"):
+            Cell("QAOA", 13, "gau+par")  # the paper device has 12
+        with pytest.raises(ValueError, match="density cells"):
+            Cell(
+                "QAOA", 40, "gau+par", kind="density",
+                device=DeviceSpec(rows=7, cols=7), t1_us=100.0, t2_us=100.0,
+            )
+        # Trajectories are statevector-sized: no density cap.
+        Cell(
+            "QAOA", 12, "gau+par", backend="trajectories",
+            t1_us=100.0, t2_us=100.0,
+        )
+
+    def test_every_paper_grid_size_constructs(self):
+        for benchmark, sizes in PAPER_SIZES.items():
+            for size in sizes:
+                for config in CONFIGS:
+                    Cell(benchmark, size, config, device=PAPER_DEVICE)
+        full = SweepSpec(
+            benchmarks=tuple(PAPER_SIZES), configs=tuple(CONFIGS), full=True
+        )
+        assert {c.num_qubits for c in full.cells()} == {
+            size for sizes in PAPER_SIZES.values() for size in sizes
+        }
+        fig23 = SweepSpec(
+            benchmarks=tuple(PAPER_SIZES),
+            full=True,
+            kind="density",
+            device=FIG23_DEVICE,
+            t1_values_us=(50.0,),
+        )
+        assert max(c.num_qubits for c in fig23.cells()) == 6
 
     def test_key_depends_on_cell_and_fingerprint(self):
         a = Cell("QAOA", 4, "gau+par")

@@ -10,6 +10,7 @@ simulate responses ride the exact campaign evaluation path.
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -131,14 +132,15 @@ class TestCompileService:
         direct = supervised_evaluate(SIM_CELL)
         assert response["result"] == direct.result
 
-    def test_repeat_simulates_served_from_store(self):
+    def test_simulate_carries_its_outcome_and_keeps_no_store(self):
+        """The service only computes: a repeat evaluates again, and each
+        response carries the outcome the daemon parent persists."""
         service = CompileService()
         first = service.handle(SimulateRequest(SIM_CELL))
-        assert first["cached"] is False
         again = service.handle(SimulateRequest(SIM_CELL))
-        assert again["cached"] is True
-        assert again["result"] == first["result"]
-        assert service.stats()["store_hits"] == 1
+        assert first["cached"] is False and again["cached"] is False
+        assert first["outcome"].result == first["result"]
+        assert first["outcome"].status == "ok"
 
     def test_batch_key_groups_by_topology(self):
         service = CompileService()
@@ -152,7 +154,7 @@ class TestCompileService:
 
 @pytest.fixture(scope="module")
 def daemon():
-    server = ReproServer(ServeConfig(port=0, workers=2))
+    server = ReproServer(ServeConfig(port=0, workers=0))
     thread = server.start_background()
     client = ServeClient(port=server.port)
     client.wait_ready()
@@ -170,7 +172,7 @@ class TestDaemon:
         health = client.health()
         assert health["status"] == "ok"
         assert health["version"] == 2
-        assert health["backend"] == "thread"
+        assert health["workers"] == 0
 
     def test_served_compile_is_bit_identical_to_one_shot(self, daemon):
         _, client = daemon
@@ -184,6 +186,29 @@ class TestDaemon:
         response = client.simulate(SIM_CELL)
         assert response["status"] == "ok"
         assert response["result"] == supervised_evaluate(SIM_CELL).result
+        assert "outcome" not in response
+
+    def test_repeat_simulates_served_from_store(self, daemon):
+        _, client = daemon
+        cell = replace(SIM_CELL, circuit_seed=1)
+        first = client.simulate(cell)
+        assert first["cached"] is False
+        hits = client.stats()["store_hits"]
+        again = client.simulate(cell)
+        assert again["cached"] is True
+        assert again["result"] == first["result"]
+        assert client.stats()["store_hits"] == hits + 1
+
+    def test_failed_store_append_still_answers(self, daemon, monkeypatch):
+        server, client = daemon
+
+        def disk_full(record):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(server.store, "put_record", disk_full)
+        response = client.simulate(replace(SIM_CELL, circuit_seed=2))
+        assert response["status"] == "ok"
+        assert response["cached"] is False
 
     def test_concurrent_mixed_requests_all_succeed(self, daemon):
         _, client = daemon
@@ -338,9 +363,6 @@ class _SlowService:
     def batch_key(self, request) -> str:
         return "slow"
 
-    def note_batch(self, size: int) -> None:
-        pass
-
     def handle(self, request) -> dict:
         time.sleep(self.delay_s)
         self.handled += 1
@@ -353,7 +375,7 @@ class _SlowService:
 class TestOverload:
     def test_full_queue_answers_503_and_recovers(self):
         config = ServeConfig(
-            port=0, queue_size=2, workers=1, max_batch=1, batch_window_s=0.0
+            port=0, queue_size=2, workers=0, max_batch=1, batch_window_s=0.0
         )
         server = ReproServer(config, service=_SlowService(0.15))
         thread = server.start_background()
@@ -393,7 +415,7 @@ class TestShutdownDrain:
         """Requests drained at shutdown answer 503/Shutdown — a client
         must never mistake an unserved request for a success."""
         config = ServeConfig(
-            port=0, workers=1, max_batch=1, batch_window_s=0.0
+            port=0, workers=0, max_batch=1, batch_window_s=0.0
         )
         server = ReproServer(config, service=_SlowService(0.4))
         thread = server.start_background()
@@ -444,7 +466,7 @@ class TestLoadTest:
             clients=2,
             devices=(DEVICE,),
             circuits=("qaoa", "qv"),
-            config=ServeConfig(port=0, workers=2),
+            config=ServeConfig(port=0, workers=0),
             check=True,
         )
         assert report["ok"] == 8

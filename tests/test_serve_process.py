@@ -1,12 +1,14 @@
-"""Tests for the ``repro serve`` process backend (fork-warm worker pool).
+"""Tests for the ``repro serve`` worker pool (fork-warm processes).
 
-The contract: ``--backend process`` changes *where* batches execute —
-never *what* they answer.  Responses are digest-identical to the thread
-backend and to one-shot compiles, a killed worker is replaced with its
-in-flight batch re-dispatched (zero failed client requests), and /stats
-aggregates across workers.
+The contract: ``--serve-workers`` changes *where* batches execute —
+never *what* they answer.  Responses are digest-identical between the
+pool, in-process serving (``workers=0``) and one-shot compiles, a killed
+worker is replaced with its in-flight batch re-dispatched (zero failed
+client requests), /stats aggregates across workers, and the daemon
+parent alone reads and writes the result store.
 """
 
+import json
 import os
 import signal
 import threading
@@ -15,13 +17,17 @@ import time
 import pytest
 
 from repro import telemetry
+from repro.campaigns import ResultStore, run_campaign
 from repro.campaigns.spec import Cell, DeviceSpec
+from repro.campaigns.store import semantic_record
 from repro.serve import (
     ProcessWorkerPool,
+    ProtocolError,
     ReproServer,
     ServeClient,
     ServeConfig,
     ServeError,
+    parse_request,
 )
 from repro.serve.loadtest import one_shot
 from repro.serve.procpool import MAX_REDISPATCH
@@ -29,6 +35,45 @@ from repro.serve.protocol import CompileRequest, SimulateRequest
 
 DEVICE = "grid:2x3"
 SIM_CELL = Cell("QAOA", 4, "pert+zzx", device=DeviceSpec(rows=2, cols=3))
+
+
+def _cell_payload(**changes) -> dict:
+    payload = SIM_CELL.payload()
+    device = {**payload["device"], **changes.pop("device", {})}
+    return {**payload, **changes, "device": device}
+
+
+#: Cell payloads outside the device/simulator bounds (all constructed
+#: without complaint before those bounds were checked).
+OUT_OF_BOUNDS = {
+    "zero-qubit-device": _cell_payload(device={"rows": 0, "cols": -1}),
+    "negative-size": _cell_payload(num_qubits=-3),
+    "oversized-density": _cell_payload(
+        num_qubits=40,
+        kind="density",
+        t1_us=100.0,
+        t2_us=100.0,
+        device={"rows": 7, "cols": 7},
+    ),
+}
+
+
+def _serve(config: ServeConfig):
+    """Start a daemon; returns (server, thread, ready client)."""
+    server = ReproServer(config)
+    thread = server.start_background()
+    client = ServeClient(port=server.port)
+    client.wait_ready()
+    return server, thread, client
+
+
+def _stop(server, thread, client) -> None:
+    try:
+        client.shutdown()
+    except ServeError:
+        server.request_stop()
+    client.close()
+    thread.join(timeout=15.0)
 
 
 @pytest.fixture(autouse=True)
@@ -42,49 +87,40 @@ def _telemetry_off():
 
 @pytest.fixture(scope="module")
 def proc_daemon():
-    server = ReproServer(ServeConfig(port=0, workers=2, backend="process"))
-    thread = server.start_background()
-    client = ServeClient(port=server.port)
-    client.wait_ready()
+    server, thread, client = _serve(ServeConfig(port=0, workers=2))
     yield server, client
-    try:
-        client.shutdown()
-    except ServeError:
-        server.request_stop()
-    client.close()
-    thread.join(timeout=15.0)
+    _stop(server, thread, client)
 
 
 class TestProcessBackend:
-    def test_health_reports_backend(self, proc_daemon):
+    def test_health_reports_workers(self, proc_daemon):
         _, client = proc_daemon
         health = client.health()
         assert health["status"] == "ok"
-        assert health["backend"] == "process"
+        assert health["workers"] == 2
 
-    def test_digest_identical_to_one_shot_and_thread_backend(
-        self, proc_daemon
-    ):
+    def test_digest_identical_to_one_shot_and_in_process(self, proc_daemon):
         """The equivalence pin across all three execution modes."""
         _, client = proc_daemon
         served = client.compile(DEVICE, "qaoa")
         assert served["status"] == "ok"
         assert served["digest"] == one_shot(DEVICE, "qaoa")["digest"]
-        threaded = ReproServer(
-            ServeConfig(port=0, workers=2, backend="thread")
-        )
-        thread = threaded.start_background()
-        mine = ServeClient(port=threaded.port)
+        in_process = _serve(ServeConfig(port=0, workers=0))
         try:
-            mine.wait_ready()
+            mine = in_process[2]
             assert mine.compile(DEVICE, "qaoa")["digest"] == served["digest"]
         finally:
-            try:
-                mine.shutdown()
-            except ServeError:
-                threaded.request_stop()
-            mine.close()
-            thread.join(timeout=15.0)
+            _stop(*in_process)
+
+    def test_out_of_bounds_cells_are_400_without_respawn(self, proc_daemon):
+        _, client = proc_daemon
+        respawns = client.stats()["respawns"]
+        for payload in OUT_OF_BOUNDS.values():
+            with pytest.raises(ServeError) as info:
+                client.request({"kind": "simulate", "cell": payload})
+            assert info.value.status == 400
+            assert info.value.payload["error"]["type"] == "ProtocolError"
+        assert client.stats()["respawns"] == respawns
 
     def test_mixed_compile_and_simulate_batches(self, proc_daemon):
         _, client = proc_daemon
@@ -139,7 +175,6 @@ class TestProcessBackend:
     def test_stats_aggregates_across_workers(self, proc_daemon):
         _, client = proc_daemon
         stats = client.stats()
-        assert stats["backend"] == "process"
         assert stats["workers"] == 2
         assert stats["worker_processes"] == 2
         assert stats["requests"] >= 1
@@ -156,9 +191,9 @@ class TestProcessWorkerPool:
         pool = ProcessWorkerPool(1)
         pool.start()
         box = {}
-        # Several distinct cells so the batch computes for long enough
-        # (each ~0.1s; per-worker stores can't shortcut fresh cells) that
-        # the kill below lands mid-batch, not between batches.
+        # Several cells so the batch computes for long enough (each
+        # ~0.1s; workers keep no store) that the kill below lands
+        # mid-batch, not between batches.
         batch = [
             SimulateRequest(
                 Cell(bench, size, "pert+zzx", device=SIM_CELL.device)
@@ -199,3 +234,53 @@ class TestProcessWorkerPool:
 
     def test_redispatch_budget_is_bounded(self):
         assert MAX_REDISPATCH >= 1
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_BOUNDS))
+def test_out_of_bounds_cell_payload_is_a_protocol_error(name):
+    with pytest.raises(ProtocolError):
+        parse_request({"kind": "simulate", "cell": OUT_OF_BOUNDS[name]})
+
+
+class TestParentOwnedStore:
+    """Workers compute; the daemon parent reads and writes the store."""
+
+    def test_repeat_cell_is_stored_once_and_survives_restart(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        config = ServeConfig(port=0, workers=2, store=str(path))
+        server, thread, client = _serve(config)
+        try:
+            first = client.simulate(SIM_CELL)
+            hits = client.stats()["store_hits"]
+            again = client.simulate(SIM_CELL)
+            stats = client.stats()
+        finally:
+            _stop(server, thread, client)
+        assert first["cached"] is False
+        assert again["cached"] is True
+        assert again["result"] == first["result"]
+        assert set(again) == set(first)
+        assert stats["worker_processes"] == 2
+        assert stats["store_hits"] == hits + 1
+        assert stats["store"]["records"] == 1
+
+        served = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["key"] for r in served] == [first["key"]]
+        campaign_path = tmp_path / "campaign.jsonl"
+        run_campaign([SIM_CELL], ResultStore(campaign_path))
+        campaign = [
+            json.loads(line) for line in campaign_path.read_text().splitlines()
+        ]
+        assert semantic_record(served[0]) == semantic_record(campaign[0])
+
+        server, thread, client = _serve(config)
+        try:
+            restarted = client.simulate(SIM_CELL)
+            stats = client.stats()
+        finally:
+            _stop(server, thread, client)
+        assert restarted["cached"] is True
+        assert restarted["result"] == first["result"]
+        assert stats["store_hits"] == 1
+        assert stats["requests"] == 0  # no worker evaluated anything
+        assert len(path.read_text().splitlines()) == 1
