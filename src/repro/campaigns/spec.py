@@ -271,6 +271,19 @@ class Cell:
                     f"density cells are capped at {MAX_DENSITY_QUBITS} "
                     f"qubits, got {self.num_qubits}"
                 )
+        elif kind in ("statevector", "density"):
+            from repro.runtime.backends.statevector import (
+                MAX_STATEVECTOR_QUBITS,
+            )
+
+            # The simulated register is the whole device, not just the
+            # circuit's qubits.
+            if self.device.num_qubits > MAX_STATEVECTOR_QUBITS:
+                raise ValueError(
+                    f"{backend} cells are capped at {MAX_STATEVECTOR_QUBITS} "
+                    f"device qubits, got {self.device.num_qubits} "
+                    f"({self.device.label})"
+                )
         if backend in ("density", "trajectories"):
             if self.t1_us is None or self.t2_us is None:
                 raise ValueError(

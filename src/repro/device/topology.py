@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from functools import cached_property
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -23,6 +24,22 @@ from repro.telemetry import span
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (sorted) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+class CutParity(NamedTuple):
+    """Per-topology tables of :attr:`Topology.cut_parity`.
+
+    ``edge_masks`` maps each edge key to ``(face mask, edge bit)``: the XOR
+    of the one-hot bits of the two faces it borders (0 for a bridge), and
+    the edge's own bit in :attr:`Topology.edges` order.  ``tree_masks[q]``
+    ORs the edge bits on qubit ``q``'s BFS-tree path from qubit 0, whose
+    length is ``depths[q]``.
+    """
+
+    edge_masks: dict[tuple[int, int], tuple[int, int]]
+    face_xor: int
+    tree_masks: tuple[int, ...]
+    depths: tuple[int, ...]
 
 
 class Topology:
@@ -100,11 +117,6 @@ class Topology:
         vs = np.fromiter((v for _, v in self.edges), dtype=np.intp, count=len(self.edges))
         return us, vs
 
-    @cached_property
-    def edge_position(self) -> dict[tuple[int, int], int]:
-        """Canonical edge key -> its index in :attr:`edges`."""
-        return {edge: i for i, edge in enumerate(self.edges)}
-
     def distance(self, u: int, v: int) -> int:
         """Shortest-path length between qubits (in couplings)."""
         n = self.num_qubits
@@ -144,6 +156,32 @@ class Topology:
     def dual_edge_of(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Primal edge key -> the dual vertex pair (face pair) it crosses."""
         return {key: (u, v) for u, v, key in self.dual.edges(keys=True)}
+
+    @cached_property
+    def cut_parity(self) -> CutParity:
+        """Face-parity tables that test a contract set without a 2-coloring.
+
+        Contracting an edge set ``D`` of a connected planar graph leaves a
+        bipartite quotient with no internal edge iff every face has an even
+        number of edges outside ``D`` (face boundaries generate the cycle
+        space), i.e. iff the XOR of the face masks over ``D`` equals the
+        XOR over all edges.  A qubit's color is then the parity of
+        uncontracted edges on its BFS-tree path from qubit 0.  Only
+        meaningful for connected topologies.
+        """
+        edge_masks: dict[tuple[int, int], tuple[int, int]] = {}
+        face_xor = 0
+        for i, key in enumerate(self.edges):
+            f, g = self.dual_edge_of[key]
+            edge_masks[key] = ((1 << f) ^ (1 << g), 1 << i)
+            face_xor ^= edge_masks[key][0]
+        tree_masks = [0] * self.num_qubits
+        depths = [0] * self.num_qubits
+        for parent, child in nx.bfs_edges(self.graph, 0):
+            bit = edge_masks[edge_key(parent, child)][1]
+            tree_masks[child] = tree_masks[parent] | bit
+            depths[child] = depths[parent] + 1
+        return CutParity(edge_masks, face_xor, tuple(tree_masks), tuple(depths))
 
     @cached_property
     def dual_simple(self) -> nx.Graph:

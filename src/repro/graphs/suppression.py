@@ -11,16 +11,20 @@ Pipeline (Sections 5.1-5.2):
 2. *Vertex Matching*: max-weight matching of odd-degree dual vertices.
 3. *Path Relaxing*: greedily swap matched pairs' shortest paths for their
    top-k alternatives while the objective improves.
-4. *Add Edges / Cut Inducing / Check*: add ``E_Q`` back to the pairing,
-   contract its primal edges, 2-color, and verify ``Q`` is monochromatic.
+4. *Add Edges / Cut Inducing / Check*: add ``E_Q`` back to the pairing
+   and check the contracted candidate ``D``.  During the search this is a
+   face-parity test on the cached dual: the quotient is bipartite iff
+   every face has an even number of edges outside ``D``, and ``Q`` is
+   monochromatic iff its qubits' BFS-tree paths hold equally many
+   uncontracted edges mod 2.  Only the winner is contracted and 2-colored
+   (:func:`~repro.graphs.cuts.induce_cut`), on connected topologies;
+   disconnected ones contract and 2-color every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
-
-import numpy as np
 
 from repro.device.topology import Topology, edge_key
 from repro.graphs.cuts import CutMetrics, cut_metrics, induce_cut
@@ -93,12 +97,11 @@ def _trivial_plan(topology: Topology) -> SuppressionPlan:
     return plan
 
 
-def _contracted_components(contract: Iterable[tuple[int, int]]):
-    """Union-find over the contract edges.
+def _contracted_components(contract: Iterable[tuple[int, int]]) -> int:
+    """Largest super-vertex size after contracting ``contract`` (``NQ``).
 
-    Returns ``(parent, find, nq)``: the touched-node parent map, the
-    path-compressing find function, and the largest super-vertex size
-    (1 when nothing merges — untouched qubits are singletons).
+    Union-find over the contract edges; 1 when nothing merges (untouched
+    qubits are singletons).
     """
     parent: dict[int, int] = {}
     size: dict[int, int] = {}
@@ -120,7 +123,7 @@ def _contracted_components(contract: Iterable[tuple[int, int]]):
             size[ru] = merged
             if merged > nq:
                 nq = merged
-    return parent, find, nq
+    return nq
 
 
 def _contract_metrics(
@@ -134,7 +137,7 @@ def _contract_metrics(
     is the largest contracted super-vertex — no graph reconstruction.
     Equals :func:`~repro.graphs.cuts.cut_metrics` on the induced coloring.
     """
-    _, _, nq = _contracted_components(contract)
+    nq = _contracted_components(contract)
     return CutMetrics(nq=nq, nc=len(contract), remaining_edges=contract)
 
 
@@ -174,59 +177,30 @@ def _search_objective(
     The Path-Relaxing hill climb only *compares* candidates, and every fact
     it compares on is invariant under the coloring orientation, so the full
     :func:`_evaluate` (whose per-component color choice must be preserved
-    bit-for-bit for the winner) is deferred to the end of the search.  For
-    a valid pairing the remaining-set equals ``contract`` exactly (Theorem
+    bit-for-bit for the winner) is deferred to the end of the search.  On a
+    connected topology validity is a face-parity test on the planar dual
+    (:attr:`~repro.device.topology.Topology.cut_parity`), and a gate qubit's
+    color is the parity of uncontracted edges on its BFS-tree path.  For a
+    valid pairing the remaining-set equals ``contract`` exactly (Theorem
     3.1), hence ``NC = |contract|`` and ``NQ`` is the largest contracted
-    super-vertex — no graph reconstruction, no networkx.
+    super-vertex.
     """
-    n = topology.num_qubits
-    parent, find, nq = _contracted_components(contract)
-
-    # Super-vertex roots per edge endpoint, as one vector gather: only the
-    # contract-touched qubits differ from the identity map.
-    us, vs = topology.edge_arrays
-    if parent:
-        roots = np.arange(n, dtype=np.intp)
-        touched = list(parent)
-        roots[touched] = [find(x) for x in touched]
-        ru_all, rv_all = roots[us], roots[vs]
-    else:
-        ru_all, rv_all = us, vs
-    keep = np.ones(len(us), dtype=bool)
-    position = topology.edge_position
-    keep[[position[edge] for edge in contract]] = False
-    ru = ru_all[keep]
-    rv = rv_all[keep]
-    if ru.size and bool((ru == rv).any()):
-        return None  # an uncontracted edge inside one super-vertex
-
-    adjacency: dict[int, list[int]] = {}
-    for a, b in zip(ru.tolist(), rv.tolist()):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    color: dict[int, int] = {}
-    for root in adjacency:
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            next_color = 1 - color[node]
-            for nbr in adjacency[node]:
-                seen = color.get(nbr)
-                if seen is None:
-                    color[nbr] = next_color
-                    stack.append(nbr)
-                elif seen != next_color:
-                    return None  # odd quotient cycle: not bipartite
-
+    edge_masks, face_xor, tree_masks, depths = topology.cut_parity
+    faces = contracted = 0
+    for key in contract:
+        face, bit = edge_masks[key]
+        faces ^= face
+        contracted |= bit
+    if faces != face_xor:
+        return None  # a face with an odd number of uncontracted edges
     if gate_qubits:
-        gate_colors = {color.get(find(q), 0) for q in gate_qubits}
-        if len(gate_colors) > 1:
+        colors = {
+            (depths[q] - (tree_masks[q] & contracted).bit_count()) & 1
+            for q in gate_qubits
+        }
+        if len(colors) > 1:
             return None
-    return alpha * nq + len(contract)
+    return alpha * _contracted_components(contract) + len(contract)
 
 
 def alpha_optimal_suppression(
@@ -294,10 +268,12 @@ def _algorithm1(
 
     # The search compares candidates only on orientation-invariant facts
     # (validity, NQ, NC, gate monochromaticity), so it runs through the
-    # union-find fast path; the exact :func:`_evaluate` — whose coloring
-    # orientation must be reproduced bit-for-bit — runs once, on the
-    # winner.  Disconnected topologies keep the exact evaluator throughout
-    # (their per-component color choices can affect the verdicts).
+    # face-parity test of :func:`_search_objective`; the exact
+    # :func:`_evaluate` — whose coloring orientation must be reproduced
+    # bit-for-bit — runs once, on the winner.  Disconnected topologies keep
+    # the exact evaluator throughout (their per-component color choices can
+    # affect the verdicts).  ``sched.two_colorings`` counts candidate
+    # evaluations, whichever evaluator runs them.
     if topology.is_connected:
         def search(indices: list[int]) -> float | None:
             counter("sched.two_colorings")

@@ -10,6 +10,12 @@ from repro.sim.statevector import apply_gate
 
 from repro.runtime.backends.base import BackendOutcome, SimBackend
 
+#: A statevector or trajectories cell simulates the whole device as one
+#: ``2^n`` register (plus the ideal reference state).  20 qubits is 16 MiB
+#: per state: well above the paper's 12-qubit device, and small enough that
+#: no accepted request can exhaust a worker's memory.
+MAX_STATEVECTOR_QUBITS = 20
+
 
 class StatevectorBackend(SimBackend):
     """Pure-state evolution through the Trotter engine (``2^n`` memory)."""

@@ -16,6 +16,7 @@ priority and parallelism the second:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def zzx_schedule(
                 layer = Layer(
                     gates=gates,
                     identities=[
-                        Gate("id", (q,)) for q in sorted(identity_qubits)
+                        _identity_gate(q) for q in sorted(identity_qubits)
                     ],
                     virtual=virtual,
                     plan=plan,
@@ -147,6 +148,12 @@ def _majority_side(plan: SuppressionPlan, gates) -> frozenset[int]:
     count0 = sum(1 for q in gate_qubits if plan.coloring[q] == 0)
     count1 = len(gate_qubits) - count0
     return plan.partition(0) if count0 >= count1 else plan.partition(1)
+
+
+@cache
+def _identity_gate(qubit: int) -> Gate:
+    """The identity gate on ``qubit``, one shared instance (Gate is frozen)."""
+    return Gate("id", (qubit,))
 
 
 def _identity_qubits(

@@ -84,6 +84,19 @@ class TestSpec:
             "QAOA", 12, "gau+par", backend="trajectories",
             t1_us=100.0, t2_us=100.0,
         )
+        # Statevector and trajectories cells simulate the whole device.
+        big = DeviceSpec(rows=7, cols=7)
+        for size in (40, 4):
+            with pytest.raises(ValueError, match="statevector cells are capped"):
+                Cell("QAOA", size, "gau+par", device=big)
+            with pytest.raises(ValueError, match="trajectories cells are capped"):
+                Cell(
+                    "QAOA", size, "gau+par", backend="trajectories",
+                    device=big, t1_us=100.0, t2_us=100.0,
+                )
+        # Analysis kinds simulate nothing, so they keep any device size.
+        Cell("QAOA", 40, "gau+par", kind="exec_time", device=big)
+        Cell("QAOA", 4, "pert+zzx", kind="couplings", device=big)
 
     def test_every_paper_grid_size_constructs(self):
         for benchmark, sizes in PAPER_SIZES.items():

@@ -158,6 +158,39 @@ def test_gate_distance_matrix_matches_pairwise_on_random_devices(seed):
             assert int(matrix[i, j]) == gate_distance(topo, a, b)
 
 
+@pytest.mark.tier2
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_parity_search_matches_exact_evaluator_on_random_devices(data):
+    """Algorithm 1's face-parity verdict == contract + 2-color + check.
+
+    Topologies come from the verification generators (grids, heavy-hex
+    rings with pendant bridges, planar 3-regular graphs); contract sets are
+    a random coloring's monochromatic edges with random edges toggled, so
+    both valid and invalid candidates occur.
+    """
+    from repro.graphs.suppression import _evaluate, _search_objective
+    from repro.verify.generators import TOPOLOGY_FAMILIES, random_topology
+
+    topo = random_topology(
+        data.draw(st.integers(0, 2_000)),
+        data.draw(st.sampled_from(TOPOLOGY_FAMILIES)),
+        max_qubits=data.draw(st.integers(4, 12)),
+    )
+    n = topo.num_qubits
+    coloring = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    toggled = data.draw(st.sets(st.sampled_from(topo.edges), max_size=2))
+    contract = frozenset(
+        (u, v)
+        for u, v in topo.edges
+        if (coloring[u] == coloring[v]) != ((u, v) in toggled)
+    )
+    gates = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    plan = _evaluate(topo, contract, frozenset(), gates)
+    expected = None if plan is None else plan.objective(0.5)
+    assert _search_objective(topo, contract, gates, 0.5) == expected
+
+
 @given(st.integers(0, 500))
 @settings(max_examples=20, deadline=None)
 def test_transpile_preserves_unitary(seed):

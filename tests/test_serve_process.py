@@ -57,6 +57,25 @@ OUT_OF_BOUNDS = {
     ),
 }
 
+#: Statevector/trajectories cells whose register (the whole 49-qubit
+#: device) is over the simulator cap: accepted before the cap existed.
+OVERSIZED_REGISTERS = {
+    "oversized-statevector": _cell_payload(
+        num_qubits=40, device={"rows": 7, "cols": 7}
+    ),
+    "oversized-trajectories": _cell_payload(
+        num_qubits=40,
+        backend="trajectories",
+        t1_us=100.0,
+        t2_us=100.0,
+        device={"rows": 7, "cols": 7},
+    ),
+    "small-cell-oversized-device": _cell_payload(
+        device={"rows": 7, "cols": 7}
+    ),
+}
+OUT_OF_BOUNDS.update(OVERSIZED_REGISTERS)
+
 
 def _serve(config: ServeConfig):
     """Start a daemon; returns (server, thread, ready client)."""
@@ -121,6 +140,17 @@ class TestProcessBackend:
             assert info.value.status == 400
             assert info.value.payload["error"]["type"] == "ProtocolError"
         assert client.stats()["respawns"] == respawns
+
+    def test_oversized_registers_are_400_without_respawn(self, proc_daemon):
+        _, client = proc_daemon
+        respawns = client.stats()["respawns"]
+        for payload in OVERSIZED_REGISTERS.values():
+            with pytest.raises(ServeError) as info:
+                client.request({"kind": "simulate", "cell": payload})
+            assert info.value.status == 400
+            assert "capped at" in info.value.payload["error"]["message"]
+        assert client.stats()["respawns"] == respawns
+        assert client.health()["status"] == "ok"
 
     def test_mixed_compile_and_simulate_batches(self, proc_daemon):
         _, client = proc_daemon
