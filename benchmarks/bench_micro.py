@@ -95,6 +95,19 @@ def test_trotter_layer_12q(benchmark):
     benchmark(lambda: engine.evolve_layer(psi.copy(), 20.0, drives))
 
 
+def test_trotter_layer_zzx_12q(benchmark):
+    """A ZZXSched-shaped layer: one rzx90 plus six identity pulses."""
+    device = make_device(grid(3, 4), seed=7)
+    lib = build_library("pert")
+    engine = TrotterEngine(12, device.couplings(), dt=0.25)
+    identity = lib["id"].step_unitaries()
+    drives = [LayerDrive((q,), identity) for q in (0, 2, 4, 7, 9, 11)]
+    drives.append(LayerDrive((5, 6), lib["rzx90"].step_unitaries()))
+    psi = zero_state(12)
+
+    benchmark(lambda: engine.evolve_layer(psi.copy(), 20.0, drives))
+
+
 def test_alpha_optimal_suppression_grid34(benchmark):
     """Algorithm 1 on the paper's device with a gate constraint."""
     topo = grid(3, 4)

@@ -9,13 +9,18 @@ bench ``benchmarks/bench_sched_scale.py``, and the serve daemon
 warm-vs-cold bench ``benchmarks/bench_serve.py``) through
 pytest-benchmark, extracts
 per-benchmark statistics, and writes them (plus environment metadata) to
-the first free ``BENCH_<n>.json`` in the repo root — so each PR's perf
-snapshot lands in a new numbered file and the trajectory is diffable
-across the stack.
+the first free ``BENCH_<n>.json`` in the repo root — so each snapshot
+lands in a new numbered file and the trajectory is diffable.
+
+A run restricted with ``--bench-file`` to part of the suite is written to
+the first free ``BENCH_partial_<n>.json`` instead: a numbered snapshot
+always holds the whole suite, so consecutive ones compare series for
+series.
 
 Usage::
 
     PYTHONPATH=src python scripts/dump_bench.py [--output BENCH_3.json]
+    PYTHONPATH=src python scripts/dump_bench.py --bench-file benchmarks/bench_micro.py
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,13 +36,28 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SUITE = (
+    "benchmarks/bench_micro.py",
+    "benchmarks/bench_campaign.py",
+    "benchmarks/bench_executor.py",
+    "benchmarks/bench_sched_scale.py",
+    "benchmarks/bench_telemetry_overhead.py",
+    "benchmarks/bench_serve.py",
+)
+NUMBERED = re.compile(r"BENCH_\d+\.json")
 
 
-def next_bench_path() -> Path:
+def next_bench_path(prefix: str = "BENCH_") -> Path:
     n = 0
-    while (ROOT / f"BENCH_{n}.json").exists():
+    while (ROOT / f"{prefix}{n}.json").exists():
         n += 1
-    return ROOT / f"BENCH_{n}.json"
+    return ROOT / f"{prefix}{n}.json"
+
+
+def is_partial(bench_files: list[str]) -> bool:
+    """Whether ``bench_files`` leaves out part of the fixed suite."""
+    chosen = {(ROOT / path).resolve() for path in bench_files}
+    return not {(ROOT / path).resolve() for path in SUITE} <= chosen
 
 
 def main(argv=None) -> int:
@@ -46,18 +67,17 @@ def main(argv=None) -> int:
         "--bench-file",
         action="append",
         default=None,
-        help="benchmark module(s) to run; repeatable "
-        "(default: bench_micro.py, bench_campaign.py and bench_executor.py)",
+        help="benchmark module(s) to run; repeatable (default: the whole "
+        "suite); a partial run writes BENCH_partial_<n>.json",
     )
     args = parser.parse_args(argv)
-    bench_files = args.bench_file or [
-        "benchmarks/bench_micro.py",
-        "benchmarks/bench_campaign.py",
-        "benchmarks/bench_executor.py",
-        "benchmarks/bench_sched_scale.py",
-        "benchmarks/bench_telemetry_overhead.py",
-        "benchmarks/bench_serve.py",
-    ]
+    bench_files = args.bench_file or list(SUITE)
+    partial = is_partial(bench_files)
+    if partial and args.output and NUMBERED.fullmatch(args.output.name):
+        parser.error(
+            f"{args.output.name} is a numbered snapshot name, but "
+            "--bench-file runs only part of the suite"
+        )
 
     with tempfile.TemporaryDirectory() as tmp:
         raw = Path(tmp) / "bench.json"
@@ -109,7 +129,9 @@ def main(argv=None) -> int:
         },
     }
 
-    out = args.output or next_bench_path()
+    out = args.output or next_bench_path(
+        "BENCH_partial_" if partial else "BENCH_"
+    )
     out.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {len(summary['benchmarks'])} benchmark timings to {out}")
     return 0

@@ -263,21 +263,22 @@ class Cell:
                 f"num_qubits must be in 1..{self.device.num_qubits} "
                 f"(device {self.device.label}), got {self.num_qubits}"
             )
+        # The simulated register is the whole device, not just the
+        # circuit's qubits.
         if backend == "density":
             from repro.runtime.backends.density import MAX_DENSITY_QUBITS
 
-            if self.num_qubits > MAX_DENSITY_QUBITS:
+            if self.device.num_qubits > MAX_DENSITY_QUBITS:
                 raise ValueError(
                     f"density cells are capped at {MAX_DENSITY_QUBITS} "
-                    f"qubits, got {self.num_qubits}"
+                    f"device qubits, got {self.device.num_qubits} "
+                    f"({self.device.label})"
                 )
         elif kind in ("statevector", "density"):
             from repro.runtime.backends.statevector import (
                 MAX_STATEVECTOR_QUBITS,
             )
 
-            # The simulated register is the whole device, not just the
-            # circuit's qubits.
             if self.device.num_qubits > MAX_STATEVECTOR_QUBITS:
                 raise ValueError(
                     f"{backend} cells are capped at {MAX_STATEVECTOR_QUBITS} "

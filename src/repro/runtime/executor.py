@@ -26,11 +26,12 @@ column; a density layer walks the identity (``2^n`` columns) once to get
 the layer unitary, then costs two ``2^n x 2^n`` GEMMs for ``U rho U^dag``
 and one GEMM per qubit for the T1/T_phi channels.  Those channels, and
 ``rho``'s virtual gates, act as ``4x4`` superoperators on the vectorized
-density matrix (:mod:`repro.sim.density`).  The walk permutes the qubits
-once per layer and then does one small GEMM per active drive per step, with
-no per-step copies (cost model in :mod:`repro.sim.trotter`).  These GEMMs
-are too small to gain from BLAS threads, so pool workers cap OpenBLAS at
-``cores // workers`` threads (:mod:`repro.campaigns.blas`).
+density matrix (:mod:`repro.sim.density`).  The walk fuses each layer's
+small drives into kron groups of at most 3 qubits, permutes the qubits
+once per layer and then does one small GEMM per active group per step,
+with no per-step copies (cost model in :mod:`repro.sim.trotter`).  These
+GEMMs are too small to gain from BLAS threads, so pool workers cap
+OpenBLAS at ``cores // workers`` threads (:mod:`repro.campaigns.blas`).
 """
 
 from __future__ import annotations

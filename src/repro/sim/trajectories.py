@@ -8,7 +8,8 @@ the decoherence study possible on the paper's full 3x4 grid.
 
 For each layer and qubit, one Kraus operator ``K_i`` of the channel is
 drawn with probability ``||K_i psi||^2`` and applied (renormalized) — the
-standard quantum-jump unraveling of a CPTP map.
+standard quantum-jump unraveling of a CPTP map.  The weights come from the
+qubit's reduced density matrix, so only the drawn branch is ever built.
 
 This module owns the stochastic primitive
 (:func:`apply_channel_stochastic`) and the :class:`TrajectoryResult`
@@ -62,18 +63,20 @@ def apply_channel_stochastic(
     num_qubits: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Apply one randomly drawn Kraus operator (quantum-jump step)."""
-    candidates = []
-    probabilities = []
-    for k in kraus:
-        branch = apply_gate(state, k, [qubit], num_qubits)
-        weight = float(np.real(np.vdot(branch, branch)))
-        candidates.append(branch)
-        probabilities.append(weight)
-    total = sum(probabilities)
-    probabilities = [p / total for p in probabilities]
+    """Apply one randomly drawn Kraus operator (quantum-jump step).
+
+    Branch ``i`` is drawn with weight ``||K_i psi||^2 = Tr(K_i^dag K_i
+    rho_q)``, read off the qubit's 2x2 reduced density matrix ``rho_q``, so
+    only the drawn operator is applied to the state.
+    """
+    # Rows: the qubit's value; columns: every other qubit (and column).
+    split = state.reshape(2**qubit, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    rho_q = split @ split.conj().T
+    weights = np.einsum("mca,mcb,ba->m", np.conj(kraus), kraus, rho_q).real
+    total = float(weights.sum())
+    probabilities = [w / total for w in weights.tolist()]
     choice = rng.choice(len(kraus), p=probabilities)
-    branch = candidates[choice]
+    branch = apply_gate(state, kraus[choice], [qubit], num_qubits)
     return branch / np.linalg.norm(branch)
 
 

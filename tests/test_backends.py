@@ -257,7 +257,10 @@ class TestCellBackendAxis:
         assert cell.trajectories == 100  # default sample count
 
     def test_legacy_density_cell_resolves_to_density_backend(self):
-        cell = Cell("QAOA", 4, "gau+par", kind="density", t1_us=100.0, t2_us=100.0)
+        cell = Cell(
+            "QAOA", 4, "gau+par", kind="density",
+            device=DeviceSpec(rows=2, cols=3), t1_us=100.0, t2_us=100.0,
+        )
         assert cell.backend == "density"
         # Pre-backend-axis payloads stay byte-identical (stable store keys).
         assert "backend" not in cell.payload()

@@ -79,6 +79,13 @@ class TestSpec:
                 "QAOA", 40, "gau+par", kind="density",
                 device=DeviceSpec(rows=7, cols=7), t1_us=100.0, t2_us=100.0,
             )
+        # The density register is the whole device, not the circuit.
+        with pytest.raises(ValueError, match="density cells are capped"):
+            Cell("QAOA", 4, "gau+par", kind="density", t1_us=100.0, t2_us=100.0)
+        Cell(
+            "QAOA", 6, "gau+par", kind="density", device=FIG23_DEVICE,
+            t1_us=100.0, t2_us=100.0,
+        )
         # Trajectories are statevector-sized: no density cap.
         Cell(
             "QAOA", 12, "gau+par", backend="trajectories",

@@ -40,8 +40,9 @@ class TestHeuristics:
         assert big > 5 * small
 
     def test_density_dominates_statevector_at_equal_size(self):
-        sv = _cell(n=4)
-        dm = _cell(n=4, kind="density", t1_us=100.0, t2_us=100.0)
+        small = DeviceSpec(rows=2, cols=3)
+        sv = _cell(n=4, device=small)
+        dm = _cell(n=4, kind="density", device=small, t1_us=100.0, t2_us=100.0)
         assert heuristic_cost(dm) > heuristic_cost(sv)
 
     def test_analysis_kinds_cost_only_scheduling(self):

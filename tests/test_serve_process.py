@@ -55,6 +55,10 @@ OUT_OF_BOUNDS = {
         t2_us=100.0,
         device={"rows": 7, "cols": 7},
     ),
+    # A small circuit, but the density register is the 12-qubit device.
+    "density-on-paper-device": _cell_payload(
+        kind="density", t1_us=100.0, t2_us=100.0, device={"rows": 3, "cols": 4}
+    ),
 }
 
 #: Statevector/trajectories cells whose register (the whole 49-qubit

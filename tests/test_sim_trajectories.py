@@ -38,6 +38,32 @@ class TestStochasticChannel:
         out = apply_channel_stochastic(psi, kraus, 0, 2, rng)
         assert np.isclose(abs(np.vdot(zero_state(2), out)) ** 2, 1.0)
 
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_draw_weights_are_branch_norms(self, rng, qubit):
+        """The draw's weights are ``||K_i psi||^2``; only K_choice is applied."""
+        from repro.qmath.states import random_state
+        from repro.sim.statevector import apply_gate
+
+        class Recorder:
+            def choice(self, n, p):
+                self.n, self.p = n, p
+                return 1
+
+        # A basis rotation makes K^dag K non-diagonal (the channel stays CPTP).
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rotation, _ = np.linalg.qr(m)
+        kraus = [k @ rotation for k in amplitude_damping_kraus(0.3)]
+        psi = random_state(3, rng)
+        branches = [apply_gate(psi, k, [qubit], 3) for k in kraus]
+        norms = np.array([np.vdot(b, b).real for b in branches])
+        recorder = Recorder()
+        out = apply_channel_stochastic(psi, kraus, qubit, 3, recorder)
+        assert recorder.n == 2
+        assert np.allclose(recorder.p, norms / norms.sum(), rtol=0, atol=1e-14)
+        assert np.allclose(
+            out, branches[1] / np.linalg.norm(branches[1]), rtol=0, atol=1e-14
+        )
+
     def test_average_matches_channel(self, rng):
         """Trajectory average of |1><1| under damping converges to channel."""
         psi = np.array([0.0, 1.0], dtype=complex)

@@ -22,7 +22,7 @@ from repro.sim.density import (
     phase_damping_kraus,
 )
 from repro.sim.statevector import apply_gate, apply_local_ops
-from repro.sim.trotter import LayerDrive, TrotterEngine
+from repro.sim.trotter import LayerDrive, TrotterEngine, _fuse
 
 DT = 0.25
 
@@ -112,6 +112,56 @@ def test_layer_unitary_matches_dense_product(case):
     reference = dense_layer(n, couplings, n_steps, drives)
     got = engine.layer_unitary(n_steps * DT, drives)
     assert np.allclose(got, reference, rtol=0, atol=1e-12)
+
+
+#: ``(n, [(qubits, steps), ...], fused group qubits)``: layers whose small
+#: drives the walk packs into kron groups of <= 3 qubits.
+FUSION_CASES = {
+    "three-1q-unequal": (4, [((0,), 6), ((2,), 3), ((3,), 1)], [(0, 2, 3)]),
+    "four-1q-unequal": (
+        5, [((4,), 6), ((1,), 2), ((3,), 4), ((0,), 0)], [(4, 3, 1), (0,)]
+    ),
+    "2q-plus-1q": (4, [((3, 1), 4), ((0,), 6)], [(0, 3, 1)]),
+    "non-adjacent": (6, [((5,), 5), ((0,), 5), ((2,), 2)], [(5, 0, 2)]),
+    "4q-unfused": (5, [((3, 0, 4, 1), 6), ((2,), 3)], [(3, 0, 4, 1), (2,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_CASES))
+def test_fused_walk_matches_dense_product(name):
+    n, spec, groups = FUSION_CASES[name]
+    rng = np.random.default_rng(sorted(FUSION_CASES).index(name))
+    n_steps = 6
+    drives = []
+    for qubits, steps in spec:
+        d = 2 ** len(qubits)
+        ops = np.array(
+            [haar_unitary(d, rng) for _ in range(steps)], dtype=complex
+        ).reshape(steps, d, d)
+        ops.setflags(write=False)  # shared with the propagator cache
+        drives.append(LayerDrive(qubits, ops))
+    originals = [drive.step_ops.copy() for drive in drives]
+    fused = _fuse(sorted(drives, key=lambda drive: -len(drive.step_ops)))
+    assert [drive.qubits for drive in fused] == groups
+    by_qubits = {drive.qubits: drive for drive in drives}
+    for group in fused:  # a group of one is the caller's own drive
+        if group.qubits in by_qubits:
+            assert group is by_qubits[group.qubits]
+
+    couplings = [
+        (i, j, float(rng.uniform(-0.05, 0.05)))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    engine = TrotterEngine(n, couplings, dt=DT)
+    reference = dense_layer(n, couplings, n_steps, drives)
+    for columns in (None, 1):
+        state = random_columns(2**n, columns, rng)
+        got = engine.evolve_layer(state, n_steps * DT, drives)
+        assert np.allclose(got, reference @ state, rtol=0, atol=1e-12)
+    unitary = engine.layer_unitary(n_steps * DT, drives)  # C = 2^n columns
+    assert np.allclose(unitary, reference, rtol=0, atol=1e-12)
+    for drive, original in zip(drives, originals):
+        assert np.array_equal(drive.step_ops, original)
 
 
 def test_overlapping_drives_rejected():
