@@ -111,8 +111,14 @@ logger = get_logger(__name__)
 # cell a worker evaluates pays for device sampling / library load / compile
 # + schedule, every later cell on the same grid point reuses them.
 
+#: Entries each warm context memo keeps (LRU), here and in the serve
+#: service.  No existing campaign, experiment or benchmark workload
+#: reaches 50 distinct entries in one process; the bound only stops a
+#: long-lived daemon from keeping, say, one device per seed it ever saw.
+WARM_MEMO_SIZE = 256
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def cached_topology(family: str, rows: int, cols: int) -> Topology:
     """One Topology per shape per process.
 
@@ -123,7 +129,7 @@ def cached_topology(family: str, rows: int, cols: int) -> Topology:
     return DeviceSpec(rows=rows, cols=cols, family=family).topology()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def cached_device(spec: DeviceSpec) -> Device:
     return make_device(
         cached_topology(spec.family, spec.rows, spec.cols),
@@ -138,7 +144,7 @@ def cached_library(method: str) -> PulseLibrary:
     return build_library(method)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def _cached_compiled(
     benchmark: str,
     num_qubits: int,
@@ -152,7 +158,7 @@ def _cached_compiled(
     return compile_circuit(circuit, topology)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def _cached_schedule(
     benchmark: str,
     num_qubits: int,

@@ -8,15 +8,15 @@ function of ``(topology, Q, alpha, top_k)``, so its plans can be cached
 without changing a single emitted schedule — the cache key uses
 :attr:`~repro.device.topology.Topology.fingerprint`, which hashes the
 coupling structure, so one cache instance may safely serve several
-topology objects (and, shared at module level, a whole campaign, like the
-``LayerPropagatorCache`` of the runtime backends).
+topology objects.
 
-The cache is **thread-safe** and computes each plan **exactly once**: a
-thread that asks for a key another thread is already solving waits for
-that solve instead of duplicating it, which is what lets one instance
-back the concurrent ``repro serve`` compile daemon.  With ``maxsize``
-set, a full cache evicts its oldest entry FIFO (the same policy as
-``LayerPropagatorCache._evict``) rather than refusing new inserts.
+:class:`SuppressionPlanCache` is a :class:`~repro.cache.Memo` named
+``plan_cache`` that adds only the key construction: thread safety,
+exactly-once solves, the FIFO ``maxsize`` bound, export/absorb and the
+counters all come from the one primitive.  :data:`SHARED_PLAN_CACHE` is
+the one plan cache of a process: campaign cells and every ``repro
+serve`` request schedule through it, a serve process re-bounding it to
+the daemon's ``--plan-cache-size``.
 
 ``NullPlanCache`` recomputes every plan; the differential oracles run the
 scheduler through it to pin cache-on == cache-off bit-identical.
@@ -24,9 +24,9 @@ scheduler through it to pin cache-on == cache-off bit-identical.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable
 
+from repro.cache import Memo
 from repro.device.topology import Topology
 from repro.graphs.suppression import (
     DEFAULT_ALPHA,
@@ -37,42 +37,17 @@ from repro.graphs.suppression import (
 from repro.telemetry import counter
 
 
-class SuppressionPlanCache:
+class SuppressionPlanCache(Memo):
     """Cache of alpha-optimal suppression plans, keyed by problem content.
 
     Keys are ``(topology fingerprint, frozenset(Q), alpha, top_k)``.  Plans
     are immutable (frozen dataclasses), so returning the cached instance is
     safe; hit/miss/eviction counters feed the ``sched-bench`` reports and
     the ``repro serve`` stats endpoint.
-
-    Concurrency: all state lives behind one lock, held only for dict
-    lookups and bookkeeping — never during Algorithm 1 itself.  A miss
-    registers an in-flight event; concurrent requests for the same key
-    wait on it and count as hits (they did not compute).  The
-    single-threaded fast path pays one uncontended lock acquire per call.
     """
 
     def __init__(self, maxsize: int | None = None):
-        self._plans: dict[tuple, SuppressionPlan] = {}
-        self._inflight: dict[tuple, threading.Event] = {}
-        self._lock = threading.Lock()
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def _insert(self, key: tuple, plan: SuppressionPlan) -> None:
-        """Store under the FIFO bound (lock held by the caller)."""
-        if key in self._plans:
-            return
-        if self.maxsize is not None and len(self._plans) >= self.maxsize:
-            self._plans.pop(next(iter(self._plans)))
-            self.evictions += 1
-            counter("plan_cache.evict")
-        self._plans[key] = plan
+        super().__init__("plan_cache", maxsize)
 
     def plan(
         self,
@@ -83,92 +58,12 @@ class SuppressionPlanCache:
     ) -> SuppressionPlan:
         """The plan for one Algorithm-1 problem, computed at most once."""
         key = (topology.fingerprint, frozenset(gate_qubits), alpha, top_k)
-        while True:
-            with self._lock:
-                cached = self._plans.get(key)
-                if cached is not None:
-                    self.hits += 1
-                    counter("plan_cache.hit")
-                    return cached
-                pending = self._inflight.get(key)
-                if pending is None:
-                    event = self._inflight[key] = threading.Event()
-                    self.misses += 1
-                    counter("plan_cache.miss")
-                    break
-            # Another thread is solving this key: wait, then re-check (the
-            # plan may have been evicted in between, in which case we loop
-            # around and become the computing thread ourselves).
-            pending.wait()
-        try:
-            plan = alpha_optimal_suppression(
+        return self.get(
+            key,
+            lambda: alpha_optimal_suppression(
                 topology, key[1], alpha=alpha, top_k=top_k
-            )
-            with self._lock:
-                self._insert(key, plan)
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            event.set()
-        return plan
-
-    def export(self) -> tuple[tuple[tuple, SuppressionPlan], ...]:
-        """Picklable snapshot of every cached plan (for worker shipping).
-
-        Plans are immutable pure functions of their key, so a snapshot
-        taken in a campaign parent can seed a spawn-started worker's
-        cache without any coherence concern.
-        """
-        with self._lock:
-            return tuple(self._plans.items())
-
-    def absorb(self, items) -> int:
-        """Seed the cache from an :meth:`export` snapshot; returns adds.
-
-        Existing entries win (they are identical by construction), and
-        absorbed plans count as neither hits nor misses — they were
-        computed elsewhere.  The ``maxsize`` bound applies exactly as on
-        :meth:`plan`: a full cache evicts its oldest entry FIFO instead
-        of dropping the absorbed one.
-        """
-        added = 0
-        with self._lock:
-            for key, plan in items:
-                if key not in self._plans:
-                    self._insert(key, plan)
-                    added += 1
-        return added
-
-    def resize(self, maxsize: int | None) -> None:
-        """Re-bound the cache, evicting oldest entries FIFO if shrinking.
-
-        Lets a serve worker adopt the process-wide
-        :data:`SHARED_PLAN_CACHE` (inherited warm across a fork) while
-        still honoring the daemon's ``--plan-cache-size`` bound.
-        """
-        with self._lock:
-            self.maxsize = maxsize
-            if maxsize is not None:
-                while len(self._plans) > maxsize:
-                    self._plans.pop(next(iter(self._plans)))
-                    self.evictions += 1
-                    counter("plan_cache.evict")
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self),
-        }
+            ),
+        )
 
 
 class NullPlanCache(SuppressionPlanCache):
@@ -189,7 +84,7 @@ class NullPlanCache(SuppressionPlanCache):
         )
 
 
-#: Process-wide cache shared by campaign workers (cleared with the other
-#: warm caches only when a process exits); safe because plans are pure
-#: functions of the key.
+#: The process-wide plan cache: campaign workers and serve requests share
+#: it (cleared with the other warm caches only when a process goes cold);
+#: safe because plans are pure functions of the key.
 SHARED_PLAN_CACHE = SuppressionPlanCache()

@@ -3,14 +3,17 @@
 A long-lived asyncio process serves concurrent compile/simulate requests
 over a local HTTP/JSON protocol with keep-alive connections.  Batches run
 on ``--serve-workers`` fork-warm worker processes
-(:class:`~repro.serve.procpool.ProcessWorkerPool`), each keeping its
-warm caches hot (:class:`~repro.scheduling.plan_cache.SuppressionPlanCache`,
-the pulse library cache, per-(library, device, noise)
-:class:`~repro.runtime.backends.LayerPropagatorCache` instances); with
-``--serve-workers 0`` the daemon process runs them itself.  The daemon
-process alone reads and writes the campaign
-:class:`~repro.campaigns.store.ResultStore` that answers repeat simulate
-requests — see EXPERIMENTS.md "Serving compiles".
+(:class:`~repro.serve.procpool.ProcessWorkerPool`); with
+``--serve-workers 0`` the daemon process runs them itself.  Either way
+each serving process keeps its warm caches hot: its one plan cache
+(:data:`~repro.scheduling.plan_cache.SHARED_PLAN_CACHE`, bounded by
+``--plan-cache-size``), the pulse library cache, and per-(library,
+device, noise) :class:`~repro.runtime.backends.LayerPropagatorCache`
+instances — the plan and propagator caches are all
+:class:`~repro.cache.Memo` instances.  The daemon process alone reads
+and writes the campaign :class:`~repro.campaigns.store.ResultStore` that
+answers repeat simulate requests — see EXPERIMENTS.md "Serving
+compiles".
 """
 
 from repro.serve.client import ServeClient, ServeError

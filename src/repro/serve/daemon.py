@@ -59,7 +59,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.service import (
     DEFAULT_PLAN_CACHE_SIZE,
-    DEFAULT_PROP_CACHE_SIZE,
     OUTCOME_KEY,
     CompileService,
     stored_response,
@@ -109,7 +108,6 @@ class ServeConfig:
     #: process on one dispatcher thread, with no IPC.
     workers: int = 4
     plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE
-    prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE
     #: ResultStore path for simulate results (None: in memory, so repeat
     #: requests are still answered from it for the daemon's lifetime).
     store: str | None = None
@@ -150,8 +148,7 @@ class ReproServer:
                 f"serve workers must be >= 0, got {self.config.workers}"
             )
         self.service = service or CompileService(
-            plan_cache_size=self.config.plan_cache_size,
-            prop_cache_size=self.config.prop_cache_size,
+            plan_cache_size=self.config.plan_cache_size
         )
         #: Touched only on the event loop: read before queueing, written
         #: as outcomes come back, counted by /stats.
@@ -207,7 +204,6 @@ class ReproServer:
         pool = ProcessWorkerPool(
             self.config.workers,
             plan_cache_size=self.config.plan_cache_size,
-            prop_cache_size=self.config.prop_cache_size,
         )
         pool.start()
         return pool

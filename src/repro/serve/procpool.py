@@ -13,10 +13,10 @@ Warm start reuses the campaign runner's fork-warm machinery
 libraries before forking, so fork-started workers inherit them — plus
 whatever the process-wide ``SHARED_PLAN_CACHE`` already holds — at zero
 cost; on spawn-start platforms a plan-cache snapshot ships through the
-worker's startup message instead.  Each worker adopts
-``SHARED_PLAN_CACHE`` as its :class:`~repro.serve.service.CompileService`
-plan cache (re-bounded to the daemon's ``--plan-cache-size``), so a
-respawned fork picks up any plans the parent had at fork time.
+worker's startup message instead.  Each worker's
+:class:`~repro.serve.service.CompileService` serves on that
+``SHARED_PLAN_CACHE`` (re-bounded to the daemon's ``--plan-cache-size``),
+so a respawned fork picks up any plans the parent had at fork time.
 
 Fault tolerance mirrors the campaign runner's ``BrokenProcessPool``
 recovery: a worker that dies (OOM, segfault, ``kill -9``) mid-batch is
@@ -41,7 +41,6 @@ from multiprocessing.connection import Connection
 
 from repro.campaigns.runner import prewarm_worker_parent, warm_worker
 from repro.pulses.library import METHODS
-from repro.scheduling.plan_cache import SHARED_PLAN_CACHE
 from repro.telemetry import capture, counter, merge_snapshot, span
 
 #: Times a batch is re-dispatched after killing a worker before its
@@ -57,7 +56,7 @@ def _worker_main(
     conn: Connection,
     methods: tuple[str, ...],
     plan_snapshot: tuple | None,
-    service_options: dict,
+    plan_cache_size: int | None,
     pool_size: int,
 ) -> None:
     """Worker-process body: warm up, then serve batches until EOF/None.
@@ -73,7 +72,7 @@ def _worker_main(
     from repro.serve.service import CompileService
 
     warm_worker(methods, plan_snapshot, workers=pool_size)
-    service = CompileService(plan_cache=SHARED_PLAN_CACHE, **service_options)
+    service = CompileService(plan_cache_size=plan_cache_size)
     while True:
         try:
             message = conn.recv()
@@ -94,6 +93,15 @@ def _worker_main(
             )
         except (BrokenPipeError, OSError):
             break
+
+
+def _accumulate(totals: dict, part: dict) -> None:
+    """Add ``part``'s counts into ``totals``, recursing into sub-dicts."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _accumulate(totals.setdefault(key, {}), value)
+        else:
+            totals[key] = totals.get(key, 0) + value
 
 
 class _Worker:
@@ -122,15 +130,11 @@ class ProcessWorkerPool:
         workers: int,
         *,
         plan_cache_size: int | None = None,
-        prop_cache_size: int | None = None,
         methods: tuple[str, ...] | None = None,
     ):
         self.size = max(1, workers)
         self._methods = tuple(methods if methods is not None else METHODS)
-        self._service_options = {
-            "plan_cache_size": plan_cache_size,
-            "prop_cache_size": prop_cache_size,
-        }
+        self._plan_cache_size = plan_cache_size
         self._plan_snapshot: tuple | None = None
         self._idle: queue.Queue[_Worker] = queue.Queue()
         self._workers: list[_Worker] = []
@@ -158,7 +162,7 @@ class ProcessWorkerPool:
                 child_conn,
                 self._methods,
                 self._plan_snapshot,
-                self._service_options,
+                self._plan_cache_size,
                 self.size,
             ),
             name="repro-serve-worker",
@@ -277,18 +281,16 @@ class ProcessWorkerPool:
         """
         with self._stats_lock:
             snapshots = list(self._worker_stats.values())
-        totals = {"requests": 0, "errors": 0}
-        plan = {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
-        prop = {"instances": 0, "hits": 0, "misses": 0, "evictions": 0}
+        totals = {
+            "requests": 0,
+            "errors": 0,
+            "plan_cache": dict.fromkeys(("hits", "misses", "evictions", "size"), 0),
+            "prop_caches": dict.fromkeys(
+                ("instances", "hits", "misses", "evictions"), 0
+            ),
+        }
         for snap in snapshots:
-            for key in totals:
-                totals[key] += snap.get(key, 0)
-            for key in plan:
-                plan[key] += (snap.get("plan_cache") or {}).get(key, 0)
-            for key in prop:
-                prop[key] += (snap.get("prop_caches") or {}).get(key, 0)
-        totals["plan_cache"] = plan
-        totals["prop_caches"] = prop
+            _accumulate(totals, snap)
         totals["worker_processes"] = self.size
         totals["respawns"] = self.respawns
         return totals

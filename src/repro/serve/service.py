@@ -1,23 +1,24 @@
 """The serve daemon's request engine: warm caches + thread-safe handlers.
 
-One :class:`CompileService` owns every amortizable artifact of the
-compile/simulate path and keeps it hot across requests:
+One :class:`CompileService` serves compile and simulate requests on the
+process's warm caches, every shared one a :class:`~repro.cache.Memo`:
 
-- a bounded, thread-safe
-  :class:`~repro.scheduling.plan_cache.SuppressionPlanCache` — one
-  Algorithm-1 plan serves every circuit that asks for the same
-  ``(topology, Q, alpha, top_k)`` problem;
+- the process's one plan cache,
+  :data:`~repro.scheduling.plan_cache.SHARED_PLAN_CACHE`, re-bounded to
+  the daemon's ``--plan-cache-size`` — compile requests and the
+  schedules of simulate requests both plan through it, so ``/stats``
+  counts every Algorithm-1 solve the process makes;
 - the pulse-library cache (via the campaign runner's per-process
   ``cached_library``, which itself sits on the warm pulse-cache file);
-- per-``(library, device, noise)``
-  :class:`~repro.runtime.backends.LayerPropagatorCache` instances for
-  simulate requests — *keyed* instances, because a propagator cache must
-  not outlive one (library, device couplings, noise) validity domain.
+- a memo of :class:`~repro.runtime.backends.LayerPropagatorCache`
+  instances keyed by ``(method, device, T1, T2)`` for density simulate
+  requests — *keyed* instances, because a propagator cache must not
+  outlive one (library, device couplings, noise) validity domain.
 
 Each serve worker process runs one service; with ``--serve-workers 0``
 the daemon process runs it on its dispatcher thread while the event
-loop reads :meth:`CompileService.stats`, so the counters and the
-propagator-cache map stay lock-guarded.  The service never touches a
+loop reads :meth:`CompileService.stats`, so the request counters stay
+lock-guarded.  The service never touches a
 :class:`~repro.campaigns.store.ResultStore`: a simulate response carries
 its supervised outcome under :data:`OUTCOME_KEY`, and the daemon parent
 — the store's only reader and writer — persists and strips it.
@@ -34,11 +35,16 @@ import threading
 import time
 from functools import lru_cache
 
+from repro.cache import Memo
 from repro.campaigns.fingerprint import library_fingerprint
-from repro.campaigns.runner import cached_topology, supervised_evaluate
+from repro.campaigns.runner import (
+    WARM_MEMO_SIZE,
+    cached_topology,
+    supervised_evaluate,
+)
 from repro.campaigns.spec import DEFAULT_POLICY, Cell, RetryPolicy, cell_key
 from repro.runtime.backends import LayerPropagatorCache
-from repro.scheduling.plan_cache import SuppressionPlanCache
+from repro.scheduling.plan_cache import SHARED_PLAN_CACHE
 from repro.scheduling.requirement import SuppressionRequirement
 from repro.scheduling.scalebench import bench_circuit
 from repro.scheduling.zzxsched import zzx_schedule
@@ -53,8 +59,9 @@ from repro.verify.generators import scale_topology
 #: Default bound on the suppression-plan cache (entries, FIFO-evicted).
 DEFAULT_PLAN_CACHE_SIZE = 4096
 
-#: Default bound per layer-propagator cache (entries per map, FIFO).
-DEFAULT_PROP_CACHE_SIZE = 512
+#: Bound on each layer-propagator cache (FIFO): the drive list and the
+#: unitary of 512 distinct layers.
+PROP_CACHE_SIZE = 1024
 
 #: Response field holding a simulate request's
 #: :class:`~repro.campaigns.runner.CellOutcome` for the daemon to persist;
@@ -74,7 +81,7 @@ def stored_response(record: dict) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def _scale_context(device: str):
     """(topology, requirement) for a scale-device name, built once.
 
@@ -89,7 +96,7 @@ def _scale_context(device: str):
     return topology, requirement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WARM_MEMO_SIZE)
 def _scale_circuit(device: str, circuit: str, seed: int):
     topology, _ = _scale_context(device)
     return bench_circuit(topology, circuit, seed=seed)
@@ -102,20 +109,11 @@ class CompileService:
         self,
         *,
         plan_cache_size: int | None = DEFAULT_PLAN_CACHE_SIZE,
-        prop_cache_size: int | None = DEFAULT_PROP_CACHE_SIZE,
         policy: RetryPolicy | None = None,
-        plan_cache: SuppressionPlanCache | None = None,
     ):
-        # ``plan_cache`` lets a serve worker process adopt the
-        # fork-inherited SHARED_PLAN_CACHE instead of starting cold; the
-        # size bound is applied to whichever instance serves.
-        if plan_cache is None:
-            plan_cache = SuppressionPlanCache(maxsize=plan_cache_size)
-        else:
-            plan_cache.resize(plan_cache_size)
-        self.plan_cache = plan_cache
-        self.prop_cache_size = prop_cache_size
-        self._prop_caches: dict[tuple, LayerPropagatorCache] = {}
+        SHARED_PLAN_CACHE.resize(plan_cache_size)
+        self.plan_cache = SHARED_PLAN_CACHE
+        self._prop_caches = Memo("serve.prop_caches")
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._fingerprint = library_fingerprint()
         self._lock = threading.Lock()
@@ -201,14 +199,10 @@ class CompileService:
         """
         if cell.backend != "density":
             return None
-        key = (cell.method, cell.device, cell.t1_us, cell.t2_us)
-        with self._lock:
-            found = self._prop_caches.get(key)
-            if found is None:
-                found = self._prop_caches[key] = LayerPropagatorCache(
-                    maxsize=self.prop_cache_size
-                )
-            return found
+        return self._prop_caches.get(
+            (cell.method, cell.device, cell.t1_us, cell.t2_us),
+            lambda: LayerPropagatorCache(PROP_CACHE_SIZE),
+        )
 
     def _handle_simulate(self, request: SimulateRequest) -> dict:
         cell = request.cell
@@ -232,16 +226,14 @@ class CompileService:
 
     def stats(self) -> dict:
         """JSON-able cache/request statistics for the /stats endpoint."""
+        caches = [cache for _, cache in self._prop_caches.export()]
         with self._lock:
-            prop = {
-                "instances": len(self._prop_caches),
-                "hits": sum(c.hits for c in self._prop_caches.values()),
-                "misses": sum(c.misses for c in self._prop_caches.values()),
-                "evictions": sum(
-                    c.evictions for c in self._prop_caches.values()
-                ),
-            }
             stats = {"requests": self.requests, "errors": self.errors}
         stats["plan_cache"] = self.plan_cache.stats
-        stats["prop_caches"] = prop
+        stats["prop_caches"] = {
+            "instances": len(caches),
+            "hits": sum(cache.hits for cache in caches),
+            "misses": sum(cache.misses for cache in caches),
+            "evictions": sum(cache.evictions for cache in caches),
+        }
         return stats

@@ -10,7 +10,9 @@ caller's thread included) shares it.  The contracts under test are the
 multi-threaded ones: N threads x M keys must compute each key exactly
 once (waiters block on the in-flight computation and count as hits),
 statistics must stay consistent (no lost updates), and FIFO eviction
-must respect the size bound.  The telemetry collector is hammered too,
+must respect the size bound.  The plan-cache hammers run on the bare
+:class:`~repro.cache.Memo` too, the one primitive every shared cache is
+built on.  The telemetry collector is hammered too,
 because the daemon's dispatcher threads merge worker snapshots into it.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cache import Memo
 from repro.device.presets import grid
 from repro.runtime.backends import LayerPropagatorCache
 from repro.scheduling import plan_cache as plan_cache_mod
@@ -60,68 +63,124 @@ def _hammer(worker, threads=THREADS):
 
 
 class TestPlanCacheConcurrency:
-    def test_each_key_computed_exactly_once(self, monkeypatch):
-        topology = grid(3, 4)
-        computed = []
+    """Memo hammers, run on the plan cache; subclasses swap the cache.
+
+    ``make`` builds a cache, ``fetch`` asks it for key ``k`` (a small
+    int), and every computation lands in ``self.computed``, slowed down
+    to widen the window for duplicate builds.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _record_builds(self, monkeypatch):
+        self.computed = []
+        self.topology = grid(2, 4)
         real = plan_cache_mod.alpha_optimal_suppression
 
         def counting(topo, gate_qubits, alpha, top_k):
-            computed.append((frozenset(gate_qubits), alpha))
-            time.sleep(0.01)  # widen the window for duplicate computes
+            self.computed.append(min(gate_qubits))
+            time.sleep(0.01)
             return real(topo, gate_qubits, alpha=alpha, top_k=top_k)
 
         monkeypatch.setattr(
             plan_cache_mod, "alpha_optimal_suppression", counting
         )
-        cache = SuppressionPlanCache()
-        alphas = tuple(0.5 + 0.1 * k for k in range(4))
-        results: dict[tuple, list] = {a: [] for a in alphas}
+
+    def make(self, maxsize=None):
+        return SuppressionPlanCache(maxsize=maxsize)
+
+    def fetch(self, cache, k):
+        return cache.plan(self.topology, (k,))
+
+    def test_each_key_computed_exactly_once(self):
+        cache = self.make()
+        keys = range(4)
+        results: dict[int, list] = {k: [] for k in keys}
         lock = threading.Lock()
 
         def worker(i):
             for _ in range(ROUNDS):
-                for alpha in alphas:
-                    plan = cache.plan(topology, (0, 1), alpha=alpha)
+                for k in keys:
+                    value = self.fetch(cache, k)
                     with lock:
-                        results[alpha].append(plan)
+                        results[k].append(value)
 
         _hammer(worker)
-        total = THREADS * ROUNDS * len(alphas)
-        assert len(computed) == len(alphas), (
-            f"expected one compute per key, got {len(computed)}: {computed}"
+        total = THREADS * ROUNDS * len(keys)
+        assert sorted(self.computed) == list(keys), (
+            f"expected one compute per key, got {self.computed}"
         )
-        assert cache.misses == len(alphas)
-        assert cache.hits == total - len(alphas)
+        assert cache.misses == len(keys)
+        assert cache.hits == total - len(keys)
         assert cache.evictions == 0
-        # Every caller of one key got the identical plan object.
-        for alpha in alphas:
-            assert len({id(p) for p in results[alpha]}) == 1
+        # Every caller of one key got the identical value object.
+        for k in keys:
+            assert len({id(v) for v in results[k]}) == 1
 
     def test_bounded_cache_evicts_fifo_under_threads(self):
-        topology = grid(2, 3)
-        cache = SuppressionPlanCache(maxsize=3)
-        qubit_sets = [(q,) for q in range(6)]
+        cache = self.make(maxsize=3)
+        keys = range(6)
 
         def worker(i):
-            for qubits in qubit_sets:
-                cache.plan(topology, qubits)
+            for k in keys:
+                self.fetch(cache, k)
 
         _hammer(worker)
         assert len(cache.export()) == 3
-        assert cache.evictions >= len(qubit_sets) - 3
+        assert cache.evictions >= len(keys) - 3
         stats = cache.stats
         assert stats["size"] == 3
-        assert stats["hits"] + stats["misses"] == THREADS * len(qubit_sets)
+        assert stats["hits"] + stats["misses"] == THREADS * len(keys)
 
     def test_absorb_respects_bound(self):
-        topology = grid(2, 3)
-        donor = SuppressionPlanCache()
-        for q in range(6):
-            donor.plan(topology, (q,))
-        bounded = SuppressionPlanCache(maxsize=2)
+        donor = self.make()
+        for k in range(6):
+            self.fetch(donor, k)
+        bounded = self.make(maxsize=2)
         bounded.absorb(donor.export())
         assert len(bounded.export()) == 2
         assert bounded.evictions == 4
+
+    def test_resize_evicts_fifo_and_bounds_later_absorbs(self):
+        donor = self.make()
+        for k in range(8):
+            self.fetch(donor, k)
+        keys = [key for key, _ in donor.export()]
+        cache = self.make()
+        for k in range(5):
+            self.fetch(cache, k)
+        cache.resize(3)
+        # Shrinking drops the two oldest entries, FIFO, and counts them.
+        assert [key for key, _ in cache.export()] == keys[2:5]
+        assert cache.evictions == 2
+        cache.resize(10)
+        # Growing keeps every entry.
+        assert [key for key, _ in cache.export()] == keys[2:5]
+        assert cache.evictions == 2
+        cache.resize(4)
+        # A later absorb honours the new bound: 3 adds, 2 more evictions.
+        assert cache.absorb(donor.export()[5:]) == 3
+        assert [key for key, _ in cache.export()] == keys[4:]
+        assert cache.evictions == 4
+        assert cache.stats["size"] == 4
+
+
+class TestMemoConcurrency(TestPlanCacheConcurrency):
+    """The same hammers on the bare primitive the caches are built on."""
+
+    @pytest.fixture(autouse=True)
+    def _record_builds(self):
+        self.computed = []
+
+    def make(self, maxsize=None):
+        return Memo("test_memo", maxsize)
+
+    def fetch(self, cache, k):
+        def build():
+            self.computed.append(k)
+            time.sleep(0.01)
+            return ("value", k)
+
+        return cache.get(k, build)
 
 
 class TestPropagatorCacheConcurrency:

@@ -14,9 +14,11 @@ from repro.campaigns.costmodel import (
     predict_shards,
 )
 from repro.campaigns.runner import (
+    WARM_MEMO_SIZE,
     _clear_warm_caches,
     _prewarm_parent,
     _warm_worker,
+    cached_device,
     cached_library,
     run_campaign,
 )
@@ -264,6 +266,14 @@ class TestWarmCaches:
         assert len(SHARED_PLAN_CACHE) == 0
         # The initializer then warms its own library, as pre-PR workers did.
         assert cached_library.cache_info().currsize == 1
+
+    def test_device_memo_is_bounded(self):
+        """A long-lived process does not keep one Device per seed forever."""
+        cached_device.cache_clear()
+        for seed in range(WARM_MEMO_SIZE + 1):
+            cached_device(DeviceSpec(seed=seed))
+        assert cached_device.cache_info().currsize == WARM_MEMO_SIZE
+        cached_device.cache_clear()
 
     def test_plan_snapshot_round_trip(self):
         _clear_warm_caches()

@@ -15,9 +15,9 @@ from dataclasses import replace
 import pytest
 
 from repro import telemetry
-from repro.campaigns.runner import supervised_evaluate
+from repro.campaigns.runner import _clear_warm_caches, supervised_evaluate
 from repro.campaigns.spec import Cell, DeviceSpec
-from repro.scheduling.plan_cache import SuppressionPlanCache
+from repro.scheduling.plan_cache import SHARED_PLAN_CACHE, SuppressionPlanCache
 from repro.scheduling.requirement import SuppressionRequirement
 from repro.scheduling.scalebench import bench_circuit
 from repro.scheduling.zzxsched import zzx_schedule
@@ -34,6 +34,7 @@ from repro.serve import (
     schedule_digest,
 )
 from repro.serve.loadtest import one_shot, percentile, run_load_test
+from repro.serve.service import DEFAULT_PLAN_CACHE_SIZE
 from repro.verify.generators import scale_topology
 from repro.verify.oracles import diff_schedules
 
@@ -117,6 +118,16 @@ class TestCompileService:
         assert again["digest"] == first["digest"]
         assert service.plan_cache.misses == misses
         assert service.plan_cache.hits > 0
+
+    def test_simulate_plans_through_the_reported_plan_cache(self):
+        """Simulate requests schedule through the one plan cache that
+        /stats reports, re-bounded to the daemon's plan-cache size."""
+        _clear_warm_caches()
+        service = CompileService()
+        response = service.handle(SimulateRequest(SIM_CELL))
+        assert response["status"] == "ok"
+        assert service.stats()["plan_cache"]["misses"] > 0
+        assert SHARED_PLAN_CACHE.maxsize == DEFAULT_PLAN_CACHE_SIZE
 
     def test_unknown_device_becomes_error_response(self):
         service = CompileService()
